@@ -23,8 +23,8 @@ from repro import (
     SketchScheme,
     brute_force_range_sum,
     eh3_range_sum,
-    estimate_product,
     massdal4,
+    query,
 )
 from repro.core.dyadic import render_dyadic_tree
 from repro.sketch.estimators import exact_join_size, relative_error
@@ -102,7 +102,7 @@ def show_size_of_join() -> None:
         s_freq[point] += 1
     truth = exact_join_size(r_freq, s_freq)
 
-    estimate = estimate_product(x, y)
+    estimate = query.product(x, y).value
     print(f"  true |R join S|      = {truth:.0f}")
     print(f"  sketch estimate      = {estimate:.2f}")
     print(f"  relative error       = {relative_error(estimate, truth):.3f}")

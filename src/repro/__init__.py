@@ -12,7 +12,7 @@ spatial joins, L1-difference, and selectivity estimation.
 Quickstart::
 
     from repro import EH3, SeedSource, SketchScheme
-    from repro.sketch import estimate_product
+    from repro.query import product
 
     source = SeedSource(7)
     scheme = SketchScheme.from_generators(
@@ -22,7 +22,7 @@ Quickstart::
     x.update_interval((1000, 250_000))   # sketch a whole interval, O(log) time
     y = scheme.sketch()
     y.update_point(1234)
-    print(estimate_product(x, y))        # ~1.0: the point lies in the interval
+    print(product(x, y).value)           # ~1.0: the point lies in the interval
 """
 
 from repro.generators import (
@@ -50,7 +50,6 @@ from repro.rangesum import (
 from repro.sketch import (
     SketchMatrix,
     SketchScheme,
-    estimate_product,
     exact_join_size,
     relative_error,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "rm7_range_sum",
     "SketchMatrix",
     "SketchScheme",
-    "estimate_product",
     "exact_join_size",
     "relative_error",
     "__version__",

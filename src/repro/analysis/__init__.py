@@ -10,9 +10,9 @@ violation baseline.
 
 The engine runs two passes.  Pass 1 (:mod:`repro.analysis.callgraph`)
 parses every file and builds a project-wide symbol table and call graph;
-pass 2 runs the per-file rules (R001-R007,
+pass 2 runs the per-file rules (R001-R006 and R012,
 :mod:`repro.analysis.rules`) and the interprocedural dataflow rules
-(R008-R011, :mod:`repro.analysis.dataflow`) over it.
+(R008-R010, :mod:`repro.analysis.dataflow`) over it.
 
 Run it as ``repro-experiments analyze --strict`` (the CI gate) or
 programmatically through :func:`analyze_paths` /

@@ -83,7 +83,6 @@ class FunctionInfo:
     qualname: str  #: ``f``, ``Class.method``, ``<module>`` ...
     lineno: int
     kind: str  #: ``function`` | ``method`` | ``class`` | ``module``
-    is_async: bool = False
     params: tuple[str, ...] = ()
     decorators: tuple[str, ...] = ()
 
@@ -263,7 +262,6 @@ class CallGraph:
                     "qualname": info.qualname,
                     "lineno": info.lineno,
                     "kind": info.kind,
-                    "is_async": info.is_async,
                     "params": list(info.params),
                     "decorators": list(info.decorators),
                 }
@@ -329,7 +327,6 @@ class CallGraph:
                 qualname=entry["qualname"],
                 lineno=entry["lineno"],
                 kind=entry["kind"],
-                is_async=entry.get("is_async", False),
                 params=tuple(entry.get("params", ())),
                 decorators=tuple(entry.get("decorators", ())),
             )
@@ -457,7 +454,6 @@ class _SymbolCollector(ast.NodeVisitor):
             qualname=qualname,
             lineno=node.lineno,
             kind=kind,
-            is_async=isinstance(node, ast.AsyncFunctionDef),
             params=params,
             decorators=decorators,
         )

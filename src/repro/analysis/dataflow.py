@@ -1,4 +1,4 @@
-"""Pass 2 of the interprocedural engine: the dataflow rules (R008-R011).
+"""Pass 2 of the interprocedural engine: the dataflow rules (R008-R010).
 
 These rules run over the whole-project call graph of
 :mod:`repro.analysis.callgraph` instead of one file at a time:
@@ -27,13 +27,6 @@ R010  exception flow -- every typed error declared in
       surface module (``cli.py`` / ``coordinator.py``) where it is part
       of the public raising contract.  Anything else is a silently-dead
       error type.
-
-R011  async safety -- no blocking call (file I/O, ``time.sleep``, WAL
-      ``fsync``, subprocess waits) may be reachable from an ``async
-      def`` through synchronous project calls.  Handing the work to an
-      executor (``asyncio.to_thread`` / ``run_in_executor``) passes the
-      function as a *value*, which creates no call edge -- exactly the
-      escape hatch the rule wants.
 
 Each finding carries its dataflow evidence in ``Violation.why`` --
 ``analyze --why FINGERPRINT`` prints it.
@@ -67,7 +60,6 @@ __all__ = [
     "SeedTaint",
     "CapabilityContract",
     "ExceptionFlow",
-    "AsyncSafety",
     "build_project_graph",
 ]
 
@@ -474,8 +466,6 @@ class CapabilityContract(ProjectRule):
         segments = path_segments(path)
         if "schemes" in segments or "analysis" in segments:
             return False
-        if "sketch/backends/" in posix:
-            return False
         return not posix.endswith(self._EXEMPT_SUFFIXES)
 
     def _gated_name(self, graph: CallGraph, name: str) -> str | None:
@@ -772,152 +762,8 @@ class ExceptionFlow(ProjectRule):
             )
 
 
-# ---------------------------------------------------------------------------
-# R011: async safety.
-# ---------------------------------------------------------------------------
-
-
-class AsyncSafety(ProjectRule):
-    """R011: nothing blocking is reachable from an ``async def``."""
-
-    id = "R011"
-    title = "blocking call reachable from async code"
-
-    #: Absolute dotted names that block the event loop.
-    _BLOCKING_CALLS = frozenset(
-        {
-            "time.sleep",
-            "os.fsync",
-            "os.fdatasync",
-            "os.replace",
-            "os.rename",
-            "subprocess.run",
-            "subprocess.call",
-            "subprocess.check_call",
-            "subprocess.check_output",
-            "socket.create_connection",
-            "shutil.rmtree",
-            "shutil.copyfile",
-        }
-    )
-
-    #: Method names that block regardless of receiver (file handles,
-    #: ``pathlib.Path`` I/O, process waits).
-    _BLOCKING_METHODS = frozenset(
-        {
-            "read_text",
-            "write_text",
-            "read_bytes",
-            "write_bytes",
-            "fsync",
-            "communicate",
-            "wait_for_exit",
-        }
-    )
-
-    def applies_to(self, path: str) -> bool:
-        return "analysis" not in path_segments(path)
-
-    def _blocking_sites(
-        self, project: Project, key: str
-    ) -> list[tuple[int, str]]:
-        """Direct blocking calls inside one function: (lineno, label)."""
-        info = project.graph.functions.get(key)
-        if info is None or info.kind == "class":
-            return []
-        tree = project.trees.get(info.path)
-        if tree is None:
-            return []
-        body = _function_node(tree, info.qualname)
-        if body is None:
-            return []
-        symbols = project.graph.modules[info.path]
-        found: list[tuple[int, str]] = []
-        for node in _iter_body(body):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            if dotted is None:
-                continue
-            absolute = symbols.resolve_dotted(dotted)
-            if absolute in self._BLOCKING_CALLS or absolute == "open":
-                found.append((node.lineno, absolute))
-                continue
-            bare = dotted.rsplit(".", 1)[-1]
-            if "." in dotted and bare in self._BLOCKING_METHODS:
-                found.append((node.lineno, dotted))
-        return found
-
-    def check_project(self, project: Project) -> Iterator[Violation]:
-        graph = project.graph
-        async_defs = [
-            info for info in graph.functions.values() if info.is_async
-        ]
-        if not async_defs:
-            return
-        blocking_cache: dict[str, list[tuple[int, str]]] = {}
-
-        def blocking(key: str) -> list[tuple[int, str]]:
-            if key not in blocking_cache:
-                blocking_cache[key] = self._blocking_sites(project, key)
-            return blocking_cache[key]
-
-        for info in sorted(async_defs, key=lambda f: f.key):
-            if not self.applies_to(info.path):
-                continue
-            reachable = graph.callee_closure(info.key)
-            for target in sorted(reachable):
-                target_info = graph.functions.get(target)
-                if target_info is not None and target_info.is_async:
-                    if target != info.key:
-                        continue  # awaited async callees audit themselves
-                for lineno, label in blocking(target):
-                    lines = project.lines.get(info.path, [])
-                    if target == info.key:
-                        anchor_line = lineno
-                        chain: tuple[str, ...] = (
-                            f"blocking call {label} directly in async "
-                            f"{info.qualname}",
-                        )
-                    else:
-                        path_sites = graph.call_path(info.key, target)
-                        anchor_line = (
-                            path_sites[0].lineno
-                            if path_sites
-                            else info.lineno
-                        )
-                        steps = [
-                            f"{site.caller.split('::', 1)[1]} -> "
-                            f"{site.name} at {site.path}:{site.lineno}"
-                            for site in path_sites
-                        ]
-                        chain = (
-                            f"async {info.qualname} reaches blocking "
-                            f"{label} at "
-                            f"{target.split('::', 1)[0]}:{lineno}",
-                            *steps,
-                        )
-                    yield Violation(
-                        rule=self.id,
-                        path=info.path,
-                        line=anchor_line,
-                        column=1,
-                        message=(
-                            f"blocking call ({label}) reachable from "
-                            f"async def {info.name} without an executor "
-                            "hand-off; wrap the blocking step in "
-                            "asyncio.to_thread(...) / "
-                            "loop.run_in_executor(...) or use an async "
-                            "equivalent"
-                        ),
-                        snippet=snippet_at(lines, anchor_line),
-                        why=chain,
-                    )
-
-
 PROJECT_RULES: tuple[ProjectRule, ...] = (
     SeedTaint(),
     CapabilityContract(),
     ExceptionFlow(),
-    AsyncSafety(),
 )

@@ -1,4 +1,4 @@
-"""The per-file domain rules (R001-R007, R012) and the rule registry.
+"""The per-file domain rules (R001-R006, R012) and the rule registry.
 
 Each rule encodes an invariant the generic linters cannot see because it
 is about *this* codebase's arithmetic and architecture:
@@ -19,8 +19,8 @@ R005  all timing flows through the observability layer's injected clock
       ``time.perf_counter()`` calls outside ``repro.obs`` and
       ``repro.bench`` make recorded durations impossible to replay
       deterministically under a fake clock;
-R006  kernel-tier modules (the packed plane and the interpreted
-      backends) stay vectorized and branch-free: no Python-level ``%``
+R006  kernel-tier modules (the packed plane and its kernels) stay
+      vectorized and branch-free: no Python-level ``%``
       (Mersenne moduli fold with shifts and adds, see
       ``repro.core.primefield``) and no per-element loops -- a
       whole-batch traversal that must iterate (per seed bit, per index
@@ -34,7 +34,7 @@ R012  ``obs.span()`` / ``obs.start_span()`` handles are either used as
 
 Rules here see one parsed file at a time and yield :class:`Violation`
 records; suppression filtering happens in :mod:`repro.analysis.engine`.
-The interprocedural dataflow rules (R008-R011) live in
+The interprocedural dataflow rules (R008-R010) live in
 :mod:`repro.analysis.dataflow` and run over the project call graph; this
 module registers both tiers in :data:`ALL_RULES`.
 """
@@ -206,7 +206,7 @@ class IntegerWidthHazard(Rule):
         if "core" in segments or "rangesum" in segments:
             return True
         posix = path.replace("\\", "/")
-        return posix.endswith("sketch/plane.py") or "sketch/backends/" in posix
+        return posix.endswith(("sketch/plane.py", "sketch/kernels.py"))
 
     def check(
         self, tree: ast.AST, lines: list[str], path: str
@@ -455,29 +455,27 @@ class ClockInjectionGuard(Rule):
 class KernelLoopGuard(Rule):
     """R006: kernel-tier code is vectorized and branch-free.
 
-    The packed-plane layer and the interpreted backends are the hot
-    tier: a Python-level ``%`` there usually means a scalar Mersenne
-    reduction leaked out of :mod:`repro.core.primefield`'s shift-add
-    folds, and a ``for``/``while`` statement usually means per-element
-    iteration that belongs in the numba backend or a whole-batch numpy
-    pass.  Only the *outermost* loop of a nesting is flagged: the
-    justification on a per-word pass covers its per-byte body.  The
-    numba backend is exempt (``@njit`` compiles scalar loops -- that is
-    its entire point), as is the backend package ``__init__`` (registry
-    dispatch, no kernels).
+    The packed-plane layer and its kernels are the hot tier: a
+    Python-level ``%`` there usually means a scalar Mersenne reduction
+    leaked out of :mod:`repro.core.primefield`'s shift-add folds, and a
+    ``for``/``while`` statement usually means per-element iteration that
+    belongs in a whole-batch numpy pass.  Only the *outermost* loop of a
+    nesting is flagged: the justification on a per-word pass covers its
+    per-byte body.
     """
 
     id = "R006"
     title = "scalar modulo or Python-level loop in the kernel tier"
 
-    #: Kernel-hosting modules outside ``sketch/backends/``.
-    _TIER_SUFFIXES = ("sketch/plane.py", "schemes/builtin.py")
+    #: Kernel-hosting modules.
+    _TIER_SUFFIXES = (
+        "sketch/plane.py",
+        "sketch/kernels.py",
+        "schemes/builtin.py",
+    )
 
     def applies_to(self, path: str) -> bool:
-        posix = path.replace("\\", "/")
-        if "sketch/backends/" in posix:
-            return not posix.endswith(("numba_backend.py", "__init__.py"))
-        return posix.endswith(self._TIER_SUFFIXES)
+        return path.replace("\\", "/").endswith(self._TIER_SUFFIXES)
 
     def _is_string_format(self, node: ast.BinOp) -> bool:
         left = node.left
@@ -494,7 +492,7 @@ class KernelLoopGuard(Rule):
 
     _LOOP_MESSAGE = (
         "Python-level loop in the kernel tier; per-element iteration "
-        "belongs in the numba backend or a vectorized whole-batch pass "
+        "belongs in a vectorized whole-batch pass "
         "-- per-bit/per-byte/per-degree traversals must say so with "
         "'# repro: allow[R006] reason' on the loop header"
     )
@@ -525,55 +523,6 @@ class KernelLoopGuard(Rule):
             if mod_binop or mod_augassign:
                 yield self._violation(path, node, self._MOD_MESSAGE, lines)
         yield from self._loop_violations(tree, lines, path)
-
-
-class EstimatePathBypass(Rule):
-    """R007: every estimate must flow through the query engine.
-
-    ``repro.query`` centralizes the median-of-means reduction, the
-    variance/CI accounting and the ``query.*`` instruments; a direct
-    call to the legacy estimate front-ends anywhere else produces a bare
-    float with none of that attached.  The front-ends themselves
-    (``sketch/ams.py``, ``sketch/estimators.py``) are exempt -- they
-    delegate to the engine and exist for compatibility -- as is
-    ``repro/query/`` itself.
-    """
-
-    id = "R007"
-    title = "estimate call outside the query engine"
-
-    _BANNED = frozenset(
-        {"estimate_product", "estimate_join_size", "estimate_self_join"}
-    )
-
-    def applies_to(self, path: str) -> bool:
-        segments = _segments(path)
-        if "query" in segments or "analysis" in segments:
-            return False
-        posix = path.replace("\\", "/")
-        return not posix.endswith(("sketch/ams.py", "sketch/estimators.py"))
-
-    def check(
-        self, tree: ast.AST, lines: list[str], path: str
-    ) -> Iterator[Violation]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted(node.func)
-            if dotted is None:
-                continue
-            name = dotted.rsplit(".", 1)[-1]
-            if name in self._BANNED:
-                yield self._violation(
-                    path,
-                    node,
-                    f"direct {name} call bypasses the query engine; go "
-                    "through repro.query.engine (product/join_size/"
-                    "self_join/execute) so plans, Estimate error "
-                    "accounting and query.* metrics stay attached -- or "
-                    "justify with '# repro: allow[R007] reason'",
-                    lines,
-                )
 
 
 class SpanLifecycleGuard(Rule):
@@ -707,7 +656,6 @@ FILE_RULES: tuple[Rule, ...] = (
     ExceptionBoundaryAudit(),
     ClockInjectionGuard(),
     KernelLoopGuard(),
-    EstimatePathBypass(),
     SpanLifecycleGuard(),
 )
 

@@ -44,13 +44,10 @@ QUERY_ENGINE_RATIO_TARGET = 1.05
 _MERGED_BENCH_KEYS = ("cluster", "hh", "query_engine", "slo")
 
 #: Regression floors enforced by ``repro-experiments bench --check-floors``:
-#: per workload, the minimum acceptable speedup of the best backend
-#: (``"best"``) or of one named backend.  Written into the report's
-#: ``config.floors`` so the check runs against the recorded config, not
-#: whatever the code says later.
-BULK_SPEEDUP_FLOORS: dict = {
-    "eh3_point_batch": {"best": 10.0, "numpy": 6.08},
-}
+#: per workload, the minimum acceptable plane-over-scalar speedup.
+#: Written into the report's ``config.floors`` so the check runs against
+#: the recorded config, not whatever the code says later.
+BULK_SPEEDUP_FLOORS: dict[str, float] = {"eh3_point_batch": 10.0}
 
 
 def _best_seconds(operation: Callable[[], object], repeats: int) -> float:
@@ -80,7 +77,6 @@ def run_bulk_bench(
     seed: int = 3,
     repeats: int = 3,
     schemes=None,
-    backends=None,
 ) -> dict:
     """Plane kernels vs the per-cell loops, on one sketch grid.
 
@@ -94,31 +90,16 @@ def run_bulk_bench(
     ``interval_kind``, a point batch when its grid has a packed plane.
     Schemes with neither are reported under ``"skipped"`` with the
     plane's recorded reason instead of being silently dropped.
-
-    ``backends`` names kernel backends to put in each workload's
-    per-backend table (default: every registered backend).  A backend
-    that cannot serve a workload -- not installed, outside the scheme's
-    declared capability -- gets a ``{"skipped": reason}`` cell instead of
-    a timing, so the table always accounts for the full set.  The
-    workload's top-level ``plane_*``/``speedup``/``identical`` fields
-    mirror the best backend's cell (named in ``best_backend``), keeping
-    the report shape of earlier runs.
     """
     from repro.generators import SeedSource
     from repro.schemes import get_spec
     from repro.sketch import bulk
     from repro.sketch.ams import SketchScheme
     from repro.sketch.atomic import GeneratorChannel
-    from repro.sketch.backends import registered_backends
     from repro.sketch.plane import plane_decision
 
     default = schemes is None
     names = ("eh3", "bch3") if default else tuple(schemes)
-    backend_names = (
-        tuple(registered_backends())
-        if backends is None
-        else tuple(backends)
-    )
 
     rng = np.random.default_rng(seed)
     interval_batch = _random_intervals(rng, domain_bits, intervals)
@@ -135,7 +116,6 @@ def run_bulk_bench(
             "intervals": intervals,
             "points": points,
             "repeats": repeats,
-            "backends": list(backend_names),
             "floors": BULK_SPEEDUP_FLOORS,
         },
         "workloads": {},
@@ -148,46 +128,18 @@ def run_bulk_bench(
         scalar_seconds = _best_seconds(
             lambda: percell_fn(grid.sketch()), repeats
         )
-        cells: dict = {}
-        best: tuple[float, str] | None = None
-        for backend_name in backend_names:
-            decision = plane_decision(grid, backend=backend_name)
-            if decision.plane is None or decision.backend != backend_name:
-                cells[backend_name] = {
-                    "skipped": decision.backend_reason
-                    or decision.reason
-                    or "backend not selected"
-                }
-                continue
-            grid.kernel_backend = backend_name
-            try:
-                fast = grid.sketch()
-                plane_fn(fast)
-                identical = np.array_equal(
-                    baseline.values(), fast.values()
-                )
-                plane_seconds = _best_seconds(
-                    lambda: plane_fn(grid.sketch()), repeats
-                )
-            finally:
-                grid.kernel_backend = None
-            cells[backend_name] = {
-                "plane_ns_per_op": plane_seconds / operations * 1e9,
-                "plane_ms": plane_seconds * 1e3,
-                "speedup": scalar_seconds / plane_seconds,
-                "identical": bool(identical),
-            }
-            if identical and (best is None or plane_seconds < best[0]):
-                best = (plane_seconds, backend_name)
-        entry: dict = {
+        fast = grid.sketch()
+        plane_fn(fast)
+        identical = np.array_equal(baseline.values(), fast.values())
+        plane_seconds = _best_seconds(lambda: plane_fn(grid.sketch()), repeats)
+        report["workloads"][name] = {
             "scalar_ns_per_op": scalar_seconds / operations * 1e9,
             "scalar_ms": scalar_seconds * 1e3,
-            "backends": cells,
+            "plane_ns_per_op": plane_seconds / operations * 1e9,
+            "plane_ms": plane_seconds * 1e3,
+            "speedup": scalar_seconds / plane_seconds,
+            "identical": bool(identical),
         }
-        if best is not None:
-            entry["best_backend"] = best[1]
-            entry.update(cells[best[1]])
-        report["workloads"][name] = entry
 
     for scheme_name in names:
         spec = get_spec(scheme_name)
@@ -275,60 +227,33 @@ def run_bulk_bench(
 def check_floors(report: dict) -> list[str]:
     """Problems in a bulk-bench report, per its recorded speedup floors.
 
-    Reads ``config.floors`` (written by :func:`run_bulk_bench`): for each
-    workload it names, the best backend's speedup (key ``"best"``) and
-    any named backend's speedup must meet the floor.  Also rejects any
-    timed backend cell whose counters were not bit-identical to the
-    scalar path, and any floored workload or backend missing from the
-    report -- a floor that silently stops applying is itself a
-    regression.  Returns human-readable problem strings; empty means the
-    report passes.
+    Rejects any workload whose plane counters were not bit-identical to
+    the scalar path, any workload named in ``config.floors`` (written by
+    :func:`run_bulk_bench`) whose speedup is below its floor, and any
+    floored workload missing from the report -- a floor that silently
+    stops applying is itself a regression.  Returns human-readable
+    problem strings; empty means the report passes.
     """
     problems: list[str] = []
     workloads = report.get("workloads", {})
     for name, entry in workloads.items():
-        for backend_name, cell in entry.get("backends", {}).items():
-            if "skipped" in cell:
-                continue
-            if not cell.get("identical", False):
-                problems.append(
-                    f"{name}: backend {backend_name!r} counters are not "
-                    "bit-identical to the scalar path"
-                )
-    for name, floors in report.get("config", {}).get("floors", {}).items():
+        if not entry.get("identical", False):
+            problems.append(
+                f"{name}: plane counters are not bit-identical to the "
+                "scalar path"
+            )
+    for name, floor in report.get("config", {}).get("floors", {}).items():
         entry = workloads.get(name)
         if entry is None:
             problems.append(
                 f"floored workload {name!r} is missing from the report"
             )
             continue
-        for key, floor in floors.items():
-            if key == "best":
-                best = entry.get("best_backend")
-                if best is None:
-                    problems.append(
-                        f"{name}: no backend produced identical counters, "
-                        f"cannot check best-backend floor {floor}x"
-                    )
-                    continue
-                cell = entry["backends"][best]
-                label = f"best backend ({best!r})"
-            else:
-                cell = entry.get("backends", {}).get(key)
-                if cell is None or "skipped" in cell:
-                    why = (cell or {}).get("skipped", "not benched")
-                    problems.append(
-                        f"{name}: floored backend {key!r} has no timing "
-                        f"({why})"
-                    )
-                    continue
-                label = f"backend {key!r}"
-            speedup = cell.get("speedup", 0.0)
-            if speedup < floor:
-                problems.append(
-                    f"{name}: {label} speedup {speedup:.2f}x is below "
-                    f"the {floor}x floor"
-                )
+        speedup = entry.get("speedup", 0.0)
+        if speedup < floor:
+            problems.append(
+                f"{name}: speedup {speedup:.2f}x is below the {floor}x floor"
+            )
     return problems
 
 

@@ -163,19 +163,11 @@ def main(argv: list[str] | None = None) -> int:
         "the defaults (see repro.schemes.registered_schemes())",
     )
     parser.add_argument(
-        "--backend",
-        action="append",
-        default=None,
-        help="bench only: a kernel backend name to put in the bulk "
-        "report's per-backend table (repeatable; defaults to every "
-        "registered backend; see repro.sketch.backends)",
-    )
-    parser.add_argument(
         "--check-floors",
         action="store_true",
         help="bench only: exit non-zero when any workload's speedup "
         "drops below the floors recorded in the BENCH_bulk.json config, "
-        "or any backend's counters are not bit-identical",
+        "or any workload's counters are not bit-identical",
     )
     parser.add_argument(
         "--query-engine",
@@ -409,21 +401,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.scheme is not None and args.experiment != "bench":
         parser.error("--scheme only applies to the 'bench' experiment")
-    if (
-        args.backend or args.check_floors or args.query_engine
-    ) and args.experiment != "bench":
+    if (args.check_floors or args.query_engine) and args.experiment != "bench":
         parser.error(
-            "--backend/--check-floors/--query-engine only apply to the "
-            "'bench' experiment"
+            "--check-floors/--query-engine only apply to the 'bench' "
+            "experiment"
         )
-    if args.backend:
-        from repro.sketch.backends import UnknownBackendError, get_backend
-
-        for backend_name in args.backend:
-            try:
-                get_backend(backend_name)
-            except UnknownBackendError as exc:
-                parser.error(str(exc))
     if args.scheme is not None:
         from repro.schemes import get_spec
 
@@ -577,10 +559,6 @@ def main(argv: list[str] | None = None) -> int:
             overrides.setdefault("BENCH_bulk", {})["schemes"] = (args.scheme,)
             overrides.setdefault("BENCH_table2", {})["schemes"] = (args.scheme,)
             overrides.setdefault("BENCH_durability", {})["scheme"] = args.scheme
-        if args.backend:
-            overrides.setdefault("BENCH_bulk", {})["backends"] = tuple(
-                args.backend
-            )
         written = write_bench_files(args.output_dir or ".", **overrides)
         if args.query_engine:
             from repro.bench import run_query_engine_bench

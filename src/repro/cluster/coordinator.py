@@ -199,7 +199,6 @@ class ClusterProcessor:
         transport: str | ShardTransport = "process",
         config: ClusterConfig | None = None,
         rng: np.random.Generator | None = None,
-        backend: str | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be positive")
@@ -242,7 +241,6 @@ class ClusterProcessor:
                 scheme=scheme,
                 sync=self.config.sync,
                 checkpoint_every=self.config.checkpoint_every,
-                backend=backend,
             )
             self._shards.append(_Shard(sid, spec, self._transport.spawn(spec)))
         for shard in self._shards:

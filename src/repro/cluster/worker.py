@@ -85,14 +85,11 @@ class WorkerSpec:
     scheme: str | None = None
     sync: str = "flush"
     checkpoint_every: int = 0
-    backend: str | None = None
 
     def build_processor(self) -> StreamProcessor:
         """Fresh processor on first start, recovery on every restart."""
         if os.path.exists(os.path.join(self.directory, _MANIFEST)):
-            return StreamProcessor.recover(
-                self.directory, backend=self.backend
-            )
+            return StreamProcessor.recover(self.directory)
         config = DurabilityConfig(
             directory=self.directory,
             sync=self.sync,
@@ -105,7 +102,6 @@ class WorkerSpec:
             scheme=self.scheme,
             policy="raise",  # the coordinator pre-screens every batch
             durability=config,
-            backend=self.backend,
         )
 
 

@@ -98,9 +98,9 @@ def mod_mersenne31_array(x: np.ndarray) -> np.ndarray:
 def mersenne_exponent(p: int) -> int | None:
     """``b`` when ``p == 2^b - 1``, else ``None``.
 
-    The shift-add reduction below applies exactly to these moduli; callers
-    (the kernel backends) use this to decide whether a prime qualifies for
-    the branch-free path.
+    The shift-add reduction below applies exactly to these moduli;
+    :mod:`repro.sketch.kernels` uses this to decide whether a prime
+    qualifies for the branch-free path.
     """
     b = p.bit_length()
     return b if p == (1 << b) - 1 else None

@@ -1,8 +1,8 @@
 """Executors: run typed queries against sketches and processors.
 
 The engine owns the only call sites of the raw product machinery --
-every estimate in the package funnels through :func:`product` (analysis
-rule R007 enforces this), which reduces the per-cell product grid with
+every estimate in the package funnels through :func:`product`, which
+reduces the per-cell product grid with
 :func:`repro.query.estimate.median_of_means` and wraps the answer in an
 :class:`repro.query.types.Estimate`.
 

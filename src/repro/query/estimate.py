@@ -8,7 +8,7 @@ is now the single definition: :func:`median_of_means` averages within
 rows and takes :func:`numpy.median` across rows, so an **even** row
 count resolves to the arithmetic mean of the two central row means
 (linear interpolation), never a one-sided pick.  Every other module
-delegates here; the analysis rule R007 keeps it that way.
+delegates here.
 
 Confidence accounting lives here too: :func:`empirical_sigma` (the
 spread of the row means, the data-driven band reported in

@@ -11,8 +11,9 @@ the public :class:`~repro.sketch.plane.PackedPlane` scaffolding, and the
 ``polyprime`` spec below wires it in for the whole system.
 
 Import-order note: :mod:`repro.sketch.serialize` imports this package, so
-``repro.sketch`` modules other than :mod:`repro.sketch.plane` (which is
-import-cycle-free) are imported lazily inside the codec closures.
+``repro.sketch`` modules other than :mod:`repro.sketch.plane` and
+:mod:`repro.sketch.kernels` (both import-cycle-free) are imported lazily
+inside the codec closures.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from repro.sketch.plane import (
     EH3Plane,
     PackedPlane,
 )
+from repro.sketch.kernels import poly_sign_kernel
 
 __all__ = ["PolyPrimePlane"]
 
@@ -60,37 +62,30 @@ class PolyPrimePlane(PackedPlane):
     """All polynomial-over-primes seeds of a grid, packed for batches.
 
     The per-index work of the scheme is one degree-``(k-1)`` Horner
-    evaluation mod ``p`` per counter, delegated to the bound kernel
-    backend's ``poly_sign_kernel``.  For Mersenne moduli (the scheme's
-    standard ``p = 2^31 - 1``, or ``2^61 - 1`` for wide domains) every
-    reduction is a branch-free shift-add fold -- no ``%`` anywhere on the
-    packed path -- and the extracted sign bits match the scalar
-    :meth:`~repro.generators.polyprime.PolynomialsOverPrimes.bit` path
-    bit for bit.  Non-Mersenne research primes take the reference
-    backend's exact generic route.
+    evaluation mod ``p`` per counter, delegated to
+    :func:`~repro.sketch.kernels.poly_sign_kernel`.  For Mersenne moduli
+    (the scheme's standard ``p = 2^31 - 1``, or ``2^61 - 1`` for wide
+    domains) every reduction is a branch-free shift-add fold -- no ``%``
+    anywhere on the packed path -- and the extracted sign bits match the
+    scalar :meth:`~repro.generators.polyprime.PolynomialsOverPrimes.bit`
+    path bit for bit.  Non-Mersenne research primes take the kernel's
+    exact generic route.
 
     Batches are processed in chunks to bound the ``(counters, chunk)``
-    temporaries.  The stride backend has no polynomial kernel, so direct
-    construction auto-selects among the remaining engines; registry
-    dispatch enforces the same set via the spec's ``backends`` tuple.
+    temporaries.
     """
 
     interval_kind = None
     plane_kind = "generator"
-    supported_backends = ("numba", "numpy")
 
     _CHUNK = 2048
 
-    def __init__(
-        self,
-        generators: Sequence[PolynomialsOverPrimes],
-        backend: Any | None = None,
-    ) -> None:
+    def __init__(self, generators: Sequence[PolynomialsOverPrimes]) -> None:
         bits = {g.domain_bits for g in generators}
         primes = {g.p for g in generators}
         if len(bits) != 1 or len(primes) != 1:
             raise ValueError("plane generators must share a domain and prime")
-        super().__init__(bits.pop(), len(generators), backend=backend)
+        super().__init__(bits.pop(), len(generators))
         self.p = primes.pop()
         degree = max(len(g.coefficients) for g in generators)
         matrix = np.zeros((self.counters, degree), dtype=np.uint64)
@@ -101,7 +96,7 @@ class PolyPrimePlane(PackedPlane):
                 coefficients, dtype=np.uint64
             )
         self.coefficients = matrix
-        self._signs = self.backend.poly_sign_kernel(self.coefficients, self.p)
+        self._signs = poly_sign_kernel(self.coefficients, self.p)
 
     def point_totals(
         self,
@@ -189,12 +184,9 @@ register(
         fast_range_sum=True,
         range_sum=lambda g, a, b: g.range_sum(a, b),
         range_sums=_eh3_range_sums,
-        plane=lambda generators, backend=None: EH3Plane(
-            generators, backend=backend
-        ),
+        plane=EH3Plane,
         interval_kind="quaternary",
         dmap_inner=True,
-        backends=("stride", "numba", "numpy"),
         extras={"sequential_bits": eh3_sequential_bits},
     )
 )
@@ -220,12 +212,9 @@ register(
         fast_range_sum=True,
         range_sum=lambda g, a, b: g.range_sum(a, b),
         range_sums=_bch3_range_sums,
-        plane=lambda generators, backend=None: BCH3Plane(
-            generators, backend=backend
-        ),
+        plane=BCH3Plane,
         interval_kind="binary",
         dmap_inner=True,
-        backends=("stride", "numba", "numpy"),
         extras={"sequential_bits": bch3_sequential_bits},
     )
 )
@@ -256,12 +245,9 @@ register(
         fast_range_sum=False,
         range_sum=_bch5_range_sum,
         range_sums=_bch5_range_sums,
-        plane=lambda generators, backend=None: BCH5Plane(
-            generators, backend=backend
-        ),
+        plane=BCH5Plane,
         interval_kind=None,
         dmap_inner=True,
-        backends=("stride", "numba", "numpy"),
     )
 )
 
@@ -320,12 +306,9 @@ register(
         fast_range_sum=False,
         range_sum=None,
         range_sums=None,
-        plane=lambda generators, backend=None: PolyPrimePlane(
-            generators, backend=backend
-        ),
+        plane=PolyPrimePlane,
         interval_kind=None,
         dmap_inner=True,
-        backends=("numba", "numpy"),
     )
 )
 

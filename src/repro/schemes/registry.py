@@ -95,11 +95,6 @@ class SchemeSpec:
     #: True when the scheme can serve as a DMAP channel's inner generator
     #: on the packed-plane path (requires ``plane``).
     dmap_inner: bool = False
-    #: Kernel backend names (see :mod:`repro.sketch.backends`) the plane
-    #: kernel's primitives cover.  The selection layer only considers these;
-    #: ``"numpy"`` (the reference engine) must always be among them so every
-    #: plane has a fallback of last resort.
-    backends: tuple[str, ...] = ("numpy",)
     extras: Mapping[str, Any] = field(default_factory=dict)
 
     def capabilities(self) -> dict[str, bool]:
@@ -147,11 +142,6 @@ def register(spec: SchemeSpec, replace: bool = False) -> SchemeSpec:
     if spec.dmap_inner and spec.plane is None:
         raise ValueError(
             f"scheme {spec.name!r} declares dmap_inner without a plane kernel"
-        )
-    if spec.plane is not None and "numpy" not in spec.backends:
-        raise ValueError(
-            f"scheme {spec.name!r} declares a plane kernel without the "
-            "'numpy' reference backend in its backends tuple"
         )
     _SPECS[spec.name] = spec
     _BY_CLS[spec.cls] = spec

@@ -7,8 +7,9 @@ and the median across ``medians`` rows boosts the confidence to ``1 -
 delta`` (count proportional to ``log(1/delta)``).
 
 :class:`SketchScheme` owns the grid of channels (the seeds); every relation
-sketched against the same scheme is comparable, and ``estimate_product``
-implements the median-of-averages combination of ``X_R * X_S``.
+sketched against the same scheme is comparable, and
+:func:`repro.query.product` implements the median-of-averages combination
+of ``X_R * X_S``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.sketch.atomic import AtomicChannel, AtomicSketch, GeneratorChannel
 __all__ = [
     "SketchScheme",
     "SketchMatrix",
-    "estimate_product",
     "recommended_grid",
 ]
 
@@ -329,22 +329,3 @@ class SketchMatrix:
             for r, a, b in zip(r_row, a_row, b_row):
                 r.value = a.value - b.value
         return result
-
-
-def estimate_product(x: SketchMatrix, y: SketchMatrix) -> float:
-    """Median-of-averages estimate of ``sum_i r_i s_i`` from two sketches.
-
-    ``x`` and ``y`` must be built under the same scheme (same seeds); the
-    per-cell products ``X_cell * Y_cell`` are unbiased size-of-join
-    estimates, averaged within rows and median-ed across rows.
-
-    Compatibility front-end for :func:`repro.query.engine.product`; new
-    code should go through :mod:`repro.query`, which also reports the
-    confidence band and plan statistics.
-    """
-    # Imported lazily: repro.query.engine imports this module.
-    from repro.query.estimate import median_of_means
-
-    if x.scheme is not y.scheme:
-        raise ValueError("sketches must share a scheme to be multiplied")
-    return median_of_means(x.values() * y.values())

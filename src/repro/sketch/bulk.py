@@ -122,7 +122,7 @@ def decompose_quaternary(
     Runs on the batched cover kernel (no per-piece ``DyadicInterval``
     allocation); end-points at or above 2^63 take the scalar route.
     Duplicate pieces are merged here, once, so every downstream consumer
-    (per-cell baseline, plane kernels on any backend) shares the work.
+    (per-cell baseline, plane kernels) shares the work.
     """
     try:
         alphas, betas = _interval_endpoints(intervals)
@@ -221,8 +221,8 @@ def _consolidate_pieces(
     """Merge duplicate ``(low, level)`` pieces, summing their weights.
 
     Run once, at decomposition time, so every consumer of the piece
-    arrays (per-cell baseline, plane updates across any number of
-    backends) shares one sort instead of re-deduplicating per call.
+    arrays (per-cell baseline, plane updates) shares one sort instead of
+    re-deduplicating per call.
     When both coordinates fit one word the sort runs on a single packed
     key; wider ``lows`` (at or beyond 2^57) take a lexsort, so the merge
     never silently stops applying.

@@ -1,9 +1,11 @@
-"""High-level estimation front-ends over AMS sketches.
+"""Ground truth and sketch builders for estimation experiments.
 
 These helpers wire workload data (frequency vectors, tuple streams,
-interval streams) through :class:`repro.sketch.ams.SketchScheme` grids and
-return the paper's headline quantities: size of join, self-join size (the
-second frequency moment F2), and relative estimation errors.
+interval streams) through :class:`repro.sketch.ams.SketchScheme` grids,
+and compute the exact quantities the paper's estimates are judged
+against: size of join, self-join size (the second frequency moment F2),
+and relative estimation errors.  The estimates themselves come from
+:mod:`repro.query` (``join_size``, ``self_join``, ``product``).
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ __all__ = [
     "sketch_frequency_vector",
     "sketch_points",
     "sketch_intervals",
-    "estimate_join_size",
-    "estimate_self_join",
     "relative_error",
 ]
 
@@ -73,33 +73,6 @@ def sketch_intervals(
     for bounds in intervals:
         sketch.update_interval(bounds)
     return sketch
-
-
-def estimate_join_size(x: SketchMatrix, y: SketchMatrix) -> float:
-    """Median-of-averages size-of-join estimate from two sketches.
-
-    Compatibility front-end: the estimator itself lives in
-    :mod:`repro.query` (one median-of-means definition for the whole
-    package); prefer ``repro.query.join_size`` for the full
-    :class:`~repro.query.types.Estimate`.
-    """
-    from repro.query import engine  # imported lazily to avoid a cycle
-
-    return engine.join_size(x, y).value
-
-
-def estimate_self_join(x: SketchMatrix) -> float:
-    """Self-join (F2) estimate: the sketch multiplied with itself.
-
-    Note the classical caveat: squaring the same counters makes each cell
-    estimate ``F2`` with a small positive bias relative to independent
-    sketches, but it is the estimator the paper's experiments use.
-    Prefer ``repro.query.self_join`` for the full
-    :class:`~repro.query.types.Estimate`.
-    """
-    from repro.query import engine  # imported lazily to avoid a cycle
-
-    return engine.self_join(x).value
 
 
 def relative_error(estimate: float, truth: float) -> float:

@@ -28,26 +28,20 @@ The per-counter totals are recovered without unpacking: with
 
     ``total_c = sum_p u_p (1 - 2 b_{p,c}) = sum_p u_p - 2 sum_p u_p b_{p,c}``
 
-and the weighted bit-sums come from per-byte histograms (or, depending on
-the selected engine, carry-save adder trees) -- O(words) passes for the
-whole grid.
+and the weighted bit-sums come from per-byte histograms (or carry-save
+adder trees for unweighted batches) -- O(words) passes for the whole grid.
 
-Kernel backends
----------------
+Kernels
+-------
 The primitive kernels themselves -- the packed parity pass, the bit-sum
-finisher, the Mersenne polynomial evaluation -- live behind the
-:mod:`repro.sketch.backends` registry; a plane binds one
-:class:`~repro.sketch.backends.KernelBackend` at construction (explicit
-``backend=`` argument, the owning scheme's ``kernel_backend`` attribute,
-the ``REPRO_KERNEL_BACKEND`` environment variable, or best-available
-priority, in that order).  :func:`plane_decision` records which backend a
-grid ended up on and why any requested backend was skipped.  Per-backend
-kernel time lands in the ``sketch.kernel.<name>.seconds`` histograms.
+finisher, the Mersenne polynomial evaluation -- live in
+:mod:`repro.sketch.kernels`; the planes call them directly.  Kernel time
+lands in the ``sketch.kernel.seconds`` histogram.
 
 All arithmetic is float64 over exact integers (every term is ``+-2^j``
 with ``j`` far below 53 bits), so plane updates are bit-for-bit identical
-to the scalar per-cell paths for integer weights -- whichever backend is
-selected -- and agree to one multiplication rounding otherwise.
+to the scalar per-cell paths for integer weights, and agree to one
+multiplication rounding otherwise.
 """
 
 from __future__ import annotations
@@ -62,14 +56,7 @@ from repro.core.bits import adjacent_pair_or_fold_array
 from repro.generators.bch3 import BCH3
 from repro.generators.bch5 import BCH5
 from repro.generators.eh3 import EH3
-from repro.sketch.backends import (
-    BackendUnsupportedError,
-    KernelBackend,
-    get_backend,
-    pack_counter_bits,
-    select_backend,
-)
-from repro.sketch.backends.numpy_backend import weighted_bit_sums
+from repro.sketch.kernels import bit_sums, pack_counter_bits, parity_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sketch.ams import SketchMatrix, SketchScheme
@@ -85,7 +72,6 @@ __all__ = [
     "counter_plane",
     "require_plane",
     "pack_counter_bits",
-    "weighted_bit_sums",
     "add_totals",
 ]
 
@@ -98,42 +84,24 @@ class PackedPlane:
     External plane kernels (registered through
     :mod:`repro.schemes`; see :class:`repro.schemes.PolyPrimePlane`)
     subclass this for the input checks and the signed-total finisher, and
-    set three class attributes the dispatch layers read:
+    set two class attributes the dispatch layers read:
 
     * ``plane_kind`` -- ``"generator"`` for planes over plain generator
       channels, ``"dmap"`` for planes over DMAP channels;
     * ``interval_kind`` -- the piece shape ``interval_totals`` consumes
       (``"quaternary"``, ``"binary"``, ``"endpoints"``), or ``None``
-      when the plane only supports point batches;
-    * ``supported_backends`` -- kernel backend names this plane's
-      primitives cover, or ``None`` for all registered backends (used
-      when a plane is constructed directly, without a registry spec).
-
-    ``backend`` may be a backend name, a
-    :class:`~repro.sketch.backends.KernelBackend` instance, or ``None``
-    to auto-select; the resolved engine is exposed as ``self.backend``.
+      when the plane only supports point batches.
     """
 
     plane_kind = "generator"
     interval_kind: str | None = None
-    supported_backends: tuple[str, ...] | None = None
 
-    def __init__(
-        self,
-        domain_bits: int,
-        counters: int,
-        backend: str | KernelBackend | None = None,
-    ) -> None:
+    def __init__(self, domain_bits: int, counters: int) -> None:
         if counters < 1:
             raise ValueError("a plane needs at least one counter")
         self.domain_bits = domain_bits
         self.counters = counters
         self.words = (counters + 63) // 64
-        if backend is None:
-            backend = select_backend(supported=self.supported_backends).backend
-        elif isinstance(backend, str):
-            backend = get_backend(backend)
-        self.backend: KernelBackend = backend
 
     def _check_points(self, points: Sequence[int] | np.ndarray) -> np.ndarray:
         points = np.asarray(points)
@@ -183,8 +151,8 @@ class PackedPlane:
     ) -> np.ndarray | None:
         """Validated weights, or ``None`` for the all-ones batch.
 
-        Keeping the unweighted case as ``None`` lets backends take a pure
-        popcount route for point batches (exact either way).
+        Keeping the unweighted case as ``None`` lets :func:`bit_sums` take
+        its popcount route for point batches (exact either way).
         """
         if weights is None:
             return None
@@ -198,14 +166,11 @@ class PackedPlane:
             base = float(acc.shape[0])
         else:
             base = float(u.sum())
-        bit_sums = self.backend.bit_sums(acc, u)[: self.counters]
-        return base - 2.0 * bit_sums
+        return base - 2.0 * bit_sums(acc, u)[: self.counters]
 
     def _observe_kernel(self, start: float) -> None:
-        """Record one kernel pass in the per-backend timing histogram."""
-        obs.histogram(f"sketch.kernel.{self.backend.name}.seconds").observe(
-            obs.monotonic() - start
-        )
+        """Record one kernel pass in the kernel timing histogram."""
+        obs.histogram("sketch.kernel.seconds").observe(obs.monotonic() - start)
 
 
 class EH3Plane(PackedPlane):
@@ -213,15 +178,11 @@ class EH3Plane(PackedPlane):
 
     interval_kind = "quaternary"
 
-    def __init__(
-        self,
-        generators: Sequence[EH3],
-        backend: str | KernelBackend | None = None,
-    ) -> None:
+    def __init__(self, generators: Sequence[EH3]) -> None:
         bits = {g.domain_bits for g in generators}
         if len(bits) != 1:
             raise ValueError("plane generators must share a domain")
-        super().__init__(bits.pop(), len(generators), backend=backend)
+        super().__init__(bits.pop(), len(generators))
         n = self.domain_bits
         s1 = np.array([g.s1 for g in generators], dtype=np.uint64)
         seed_bits = (s1[np.newaxis, :] >> np.arange(n, dtype=np.uint64)[:, np.newaxis]) & np.uint64(1)
@@ -237,7 +198,7 @@ class EH3Plane(PackedPlane):
         zero_parity = np.zeros((pairs + 1, self.counters), dtype=np.uint64)
         zero_parity[1:] = np.cumsum(pair_zero, axis=0, dtype=np.int64) & 1
         self.zero_pair_parity = pack_counter_bits(zero_parity)
-        self._parity = self.backend.parity_kernel(self.s1_table)
+        self._parity = parity_kernel(self.s1_table)
 
     def _sign_bits(self, indices: np.ndarray) -> np.ndarray:
         acc = self._parity(indices)
@@ -289,15 +250,11 @@ class BCH3Plane(PackedPlane):
 
     interval_kind = "binary"
 
-    def __init__(
-        self,
-        generators: Sequence[BCH3],
-        backend: str | KernelBackend | None = None,
-    ) -> None:
+    def __init__(self, generators: Sequence[BCH3]) -> None:
         bits = {g.domain_bits for g in generators}
         if len(bits) != 1:
             raise ValueError("plane generators must share a domain")
-        super().__init__(bits.pop(), len(generators), backend=backend)
+        super().__init__(bits.pop(), len(generators))
         n = self.domain_bits
         s1 = np.array([g.s1 for g in generators], dtype=np.uint64)
         seed_bits = (s1[np.newaxis, :] >> np.arange(n, dtype=np.uint64)[:, np.newaxis]) & np.uint64(1)
@@ -314,7 +271,7 @@ class BCH3Plane(PackedPlane):
             <= trailing[np.newaxis, :]
         )
         self.alive_table = pack_counter_bits(alive)
-        self._parity = self.backend.parity_kernel(self.s1_table)
+        self._parity = parity_kernel(self.s1_table)
 
     def _sign_bits(self, indices: np.ndarray) -> np.ndarray:
         acc = self._parity(indices)
@@ -356,8 +313,8 @@ class BCH3Plane(PackedPlane):
         start = obs.monotonic()
         acc = self._sign_bits(lows)
         alive = self.alive_table[levels]
-        alive_sums = self.backend.bit_sums(alive, u)[: self.counters]
-        signed_sums = self.backend.bit_sums(alive & acc, u)[: self.counters]
+        alive_sums = bit_sums(alive, u)[: self.counters]
+        signed_sums = bit_sums(alive & acc, u)[: self.counters]
         totals = alive_sums - 2.0 * signed_sums
         self._observe_kernel(start)
         return totals
@@ -370,16 +327,12 @@ class BCH5Plane(PackedPlane):
     so the batch pays it once; both GF(2) dot products then run packed.
     """
 
-    def __init__(
-        self,
-        generators: Sequence[BCH5],
-        backend: str | KernelBackend | None = None,
-    ) -> None:
+    def __init__(self, generators: Sequence[BCH5]) -> None:
         bits = {g.domain_bits for g in generators}
         modes = {g.mode for g in generators}
         if len(bits) != 1 or len(modes) != 1:
             raise ValueError("plane generators must share a domain and mode")
-        super().__init__(bits.pop(), len(generators), backend=backend)
+        super().__init__(bits.pop(), len(generators))
         self._representative = generators[0]
         n = self.domain_bits
         shifts = np.arange(n, dtype=np.uint64)[:, np.newaxis]
@@ -390,8 +343,8 @@ class BCH5Plane(PackedPlane):
         self.s0_word = pack_counter_bits(
             np.array([[g.s0 for g in generators]], dtype=np.uint64)
         )[0]
-        self._parity1 = self.backend.parity_kernel(self.s1_table)
-        self._parity3 = self.backend.parity_kernel(self.s3_table)
+        self._parity1 = parity_kernel(self.s1_table)
+        self._parity3 = parity_kernel(self.s3_table)
 
     def point_totals(
         self,
@@ -417,30 +370,20 @@ class DMAPPlane:
     Any scheme whose registry spec declares ``dmap_inner`` (i.e. ships a
     packed plane kernel) can back the inner plane -- the dyadic-id batch
     is just a point batch over the inner generators' domain.  The
-    default DMAP construction uses BCH5.  The kernel backend is whatever
-    the inner plane selected (or the explicit ``backend`` argument,
-    forwarded to the inner plane's construction).
+    default DMAP construction uses BCH5.
     """
 
     plane_kind = "dmap"
     interval_kind = "endpoints"
 
-    def __init__(
-        self,
-        dmaps: Sequence,
-        inner: Any | None = None,
-        backend: str | KernelBackend | None = None,
-    ) -> None:
+    def __init__(self, dmaps: Sequence, inner: Any | None = None) -> None:
         bits = {d.mapper.domain_bits for d in dmaps}
         if len(bits) != 1:
             raise ValueError("plane DMAPs must share a domain")
         self.domain_bits = bits.pop()
         self.mapper = dmaps[0].mapper
         if inner is None:
-            requested = backend.name if isinstance(backend, KernelBackend) else backend
-            decision = _generator_plane(
-                [d.generator for d in dmaps], requested=requested
-            )
+            decision = _generator_plane([d.generator for d in dmaps])
             if decision.plane is None:
                 from repro.schemes import UnsupportedSchemeError
 
@@ -450,11 +393,6 @@ class DMAPPlane:
             inner = decision.plane
         self.inner = inner
         self.counters = self.inner.counters
-
-    @property
-    def backend(self) -> KernelBackend:
-        """The inner plane's kernel backend (DMAP adds no kernels itself)."""
-        return self.inner.backend
 
     def id_totals(
         self,
@@ -509,44 +447,14 @@ class PlaneDecision:
     ``plane`` is the kernel instance or ``None``; ``reason`` is a
     human-readable explanation of the miss (scheme name plus the missing
     capability), surfaced by :meth:`StreamProcessor.stats` telemetry and
-    :func:`require_plane`.  ``backend`` names the kernel backend the
-    plane bound; ``backend_reason`` records why a requested or
-    higher-priority backend was skipped (unavailable, outside the
-    scheme's declared capability, or rejected at kernel-construction
-    time) -- the degradation is never silent.
+    :func:`require_plane`.
     """
 
     plane: Any | None
     reason: str | None = None
-    backend: str | None = None
-    backend_reason: str | None = None
 
 
-def _plane_accepts_backend(factory: Any) -> bool:
-    """Does a registered plane factory take the ``backend`` keyword?
-
-    Registered specs may predate the backend tier; their factories are
-    called the old way and their planes run whatever engine they
-    hard-code (reported via the plane's own ``backend`` attribute, if
-    any).
-    """
-    import inspect
-
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    if "backend" in parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
-
-
-def _generator_plane(
-    generators: Sequence, requested: str | None = None
-) -> PlaneDecision:
+def _generator_plane(generators: Sequence) -> PlaneDecision:
     """Decide the packed plane of a plain generator grid via the registry."""
     from repro.schemes import spec_for
 
@@ -575,58 +483,15 @@ def _generator_plane(
             f"scheme {spec.name!r} declares no packed plane kernel "
             "(capability 'plane' missing)",
         )
-    selection = select_backend(
-        supported=spec.backends, requested=requested, record=True
-    )
-    backend = selection.backend
-    backend_reason = selection.reason
-    takes_backend = _plane_accepts_backend(spec.plane)
-
-    def build(engine: KernelBackend) -> Any:
-        if takes_backend:
-            return spec.plane(list(generators), backend=engine)
-        return spec.plane(list(generators))
-
     try:
-        plane = build(backend)
-    except BackendUnsupportedError as exc:
-        # The selected backend cannot serve this particular grid (e.g.
-        # a Mersenne-61 polynomial on the compiled kernel).  Degrade to
-        # the reference engine with the reason recorded and counted.
-        obs.counter("sketch.kernel.backend.skipped_total").inc()
-        obs.counter(
-            f"sketch.kernel.backend.{backend.name}.skipped_total"
-        ).inc()
-        note = f"backend {backend.name!r} cannot serve this grid: {exc}"
-        backend_reason = f"{backend_reason}; {note}" if backend_reason else note
-        backend = get_backend("numpy")
-        obs.counter(
-            f"sketch.kernel.backend.{backend.name}.selected_total"
-        ).inc()
-        try:
-            plane = build(backend)
-        except ValueError as fallback_exc:
-            return PlaneDecision(
-                None,
-                f"scheme {spec.name!r} plane kernel rejected the grid: "
-                f"{fallback_exc}",
-                backend_reason=backend_reason,
-            )
+        return PlaneDecision(spec.plane(list(generators)))
     except ValueError as exc:
         return PlaneDecision(
             None, f"scheme {spec.name!r} plane kernel rejected the grid: {exc}"
         )
-    bound = getattr(plane, "backend", None)
-    return PlaneDecision(
-        plane,
-        backend=getattr(bound, "name", None),
-        backend_reason=backend_reason,
-    )
 
 
-def _dmap_plane(
-    dmaps: Sequence, requested: str | None = None
-) -> PlaneDecision:
+def _dmap_plane(dmaps: Sequence) -> PlaneDecision:
     """Decide the packed plane of a DMAP grid via the inner generators."""
     from repro.schemes import spec_for
 
@@ -640,26 +505,18 @@ def _dmap_plane(
                 f"DMAP inner scheme {specs[0].name!r} is not declared "
                 "DMAP-compatible (capability 'dmap_inner' missing)",
             )
-    inner = _generator_plane(inner_generators, requested=requested)
+    inner = _generator_plane(inner_generators)
     if inner.plane is None:
         return PlaneDecision(
-            None,
-            f"DMAP grid has no packed inner plane: {inner.reason}",
-            backend_reason=inner.backend_reason,
+            None, f"DMAP grid has no packed inner plane: {inner.reason}"
         )
     bits = {d.mapper.domain_bits for d in dmaps}
     if len(bits) != 1:
         return PlaneDecision(None, "plane DMAPs must share a domain")
-    return PlaneDecision(
-        DMAPPlane(dmaps, inner.plane),
-        backend=inner.backend,
-        backend_reason=inner.backend_reason,
-    )
+    return PlaneDecision(DMAPPlane(dmaps, inner.plane))
 
 
-def _decide_plane(
-    scheme: "SketchScheme", requested: str | None = None
-) -> PlaneDecision:
+def _decide_plane(scheme: "SketchScheme") -> PlaneDecision:
     """Pack a scheme's grid into the matching plane, with a reason on miss.
 
     The grid's channel shape is read off the registry's channel codecs
@@ -671,11 +528,9 @@ def _decide_plane(
     channels = [channel for row in scheme.channels for channel in row]
     kinds = {channel_kind(c) for c in channels}
     if kinds == {"generator"}:
-        return _generator_plane(
-            [c.generator for c in channels], requested=requested
-        )
+        return _generator_plane([c.generator for c in channels])
     if kinds == {"dmap"}:
-        return _dmap_plane([c.dmap for c in channels], requested=requested)
+        return _dmap_plane([c.dmap for c in channels])
     names = sorted({type(c).__name__ for c in channels})
     return PlaneDecision(
         None,
@@ -683,37 +538,21 @@ def _decide_plane(
     )
 
 
-def plane_decision(
-    scheme: "SketchScheme", backend: str | None = None
-) -> PlaneDecision:
+def plane_decision(scheme: "SketchScheme") -> PlaneDecision:
     """The grid's packed-plane decision, built once and cached.
 
     Unlike :func:`counter_plane` this keeps the *reason* when no kernel
     covers the grid, so callers (telemetry, :func:`require_plane`) can
     name the scheme and the missing capability instead of reporting an
     opaque ``None``.
-
-    ``backend`` requests a kernel backend by name; with no argument the
-    request is read off the scheme's ``kernel_backend`` attribute (set by
-    ``StreamProcessor(backend=...)``) and then the ``REPRO_KERNEL_BACKEND``
-    environment variable.  Decisions are cached per requested name, so
-    the same grid can hold planes on several backends at once (the bench
-    harness does) while repeated lookups stay O(1); note the environment
-    variable is therefore read once per grid, at the first default-build.
     """
-    requested = backend or getattr(scheme, "kernel_backend", None)
-    cache = getattr(scheme, "_plane_decisions", None)
-    if cache is None:
-        cache = {}
-        scheme._plane_decisions = cache
-    if requested not in cache:
-        cache[requested] = _decide_plane(scheme, requested)
-    return cache[requested]
+    decision = getattr(scheme, "_plane_decision", None)
+    if decision is None:
+        decision = scheme._plane_decision = _decide_plane(scheme)
+    return decision
 
 
-def counter_plane(
-    scheme: "SketchScheme", backend: str | None = None
-) -> Any | None:
+def counter_plane(scheme: "SketchScheme") -> Any | None:
     """The packed plane of a scheme's seeds, built once and cached.
 
     Returns ``None`` for grids the packed kernels do not cover (mixed or
@@ -721,7 +560,7 @@ def counter_plane(
     Use :func:`plane_decision` to learn *why* a grid is uncovered, or
     :func:`require_plane` to fail loudly instead.
     """
-    return plane_decision(scheme, backend=backend).plane
+    return plane_decision(scheme).plane
 
 
 def require_plane(scheme: "SketchScheme") -> Any:

@@ -130,7 +130,6 @@ class StreamProcessor:
         durability: DurabilityConfig | str | None = None,
         scheme: str | None = None,
         incident_capacity: int = 256,
-        backend: str | None = None,
     ) -> None:
         if medians < 1 or averages < 1:
             raise ValueError("medians and averages must be positive")
@@ -155,11 +154,6 @@ class StreamProcessor:
         else:
             self._scheme_name = scheme or "eh3"
             self._factory = get_spec(self._scheme_name).factory
-        # Kernel backend request for the packed planes; None defers to the
-        # REPRO_KERNEL_BACKEND environment variable and then priority.
-        # Degradation (unknown name, unavailable engine, unsupported
-        # scheme) is recorded in stats()["planes"], never raised.
-        self.kernel_backend = backend
         self.policy = policy
         self.dead_letters = DeadLetterBuffer(quarantine_capacity)
         self.incidents = IncidentLog(incident_capacity)
@@ -282,7 +276,6 @@ class StreamProcessor:
         policy: str | None = None,
         quarantine_capacity: int = 1024,
         incident_capacity: int = 256,
-        backend: str | None = None,
     ) -> "StreamProcessor":
         """Rebuild a processor from its durability directory.
 
@@ -324,7 +317,6 @@ class StreamProcessor:
                 else manifest.get("scheme")
             ),
             incident_capacity=incident_capacity,
-            backend=backend,
         )
         with obs.span("durability.recover", directory=config.directory):
             processor._replaying = True
@@ -703,7 +695,6 @@ class StreamProcessor:
                 self._averages,
                 self._source,
             )
-            grid.kernel_backend = self.kernel_backend
             self._schemes[group] = grid
         self._domain_bits[name] = domain_bits
         self._registration_order.append(name)
@@ -1080,9 +1071,6 @@ class StreamProcessor:
         kernels cover its grid -- and, when they do not, the recorded
         reason (scheme name plus the missing capability) so a silent
         per-cell slowdown is visible in telemetry instead of opaque.
-        Each entry also carries the kernel ``backend`` the plane bound
-        and the ``backend_reason`` any requested or higher-priority
-        backend was skipped for, so backend degradation is observable.
         ``"metrics"`` merges in the process-wide registry snapshot
         (:func:`repro.obs.snapshot`), so the one ``stats()`` call existing
         callers already make now carries every instrument too.
@@ -1112,8 +1100,6 @@ class StreamProcessor:
                         else type(decision.plane).__name__
                     ),
                     "reason": decision.reason,
-                    "backend": decision.backend,
-                    "backend_reason": decision.backend_reason,
                 }
                 for group, decision in (
                     (group, plane_decision(scheme))

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import query
 from repro.generators import EH3, SeedSource
 from repro.sketch.ams import (
     SketchScheme,
-    estimate_product,
     recommended_grid,
 )
 from repro.sketch.atomic import GeneratorChannel
@@ -112,7 +112,7 @@ class TestSketchMatrix:
         with pytest.raises(ValueError):
             a.difference(b)
         with pytest.raises(ValueError):
-            estimate_product(a, b)
+            query.product(a, b)
 
 
 class TestEstimateProduct:
@@ -130,10 +130,10 @@ class TestEstimateProduct:
         outside = scheme.sketch()
         outside.update_point(50)
         # sd ~ sqrt(61 / 800) ~ 0.28 per row; medians tighten further.
-        assert estimate_product(interval_sketch, inside) == pytest.approx(
+        assert query.product(interval_sketch, inside).value == pytest.approx(
             1.0, abs=0.7
         )
-        assert estimate_product(interval_sketch, outside) == pytest.approx(
+        assert query.product(interval_sketch, outside).value == pytest.approx(
             0.0, abs=0.7
         )
 
@@ -144,7 +144,7 @@ class TestEstimateProduct:
         x.update_point(13, weight=4.0)
         y = scheme.sketch()
         y.update_point(13, weight=2.0)
-        assert estimate_product(x, y) == pytest.approx(8.0)
+        assert query.product(x, y).value == pytest.approx(8.0)
 
     def test_median_is_robust_to_one_bad_row(self, source: SeedSource):
         scheme = eh3_scheme(source, medians=3, averages=2)
@@ -155,4 +155,4 @@ class TestEstimateProduct:
         # Corrupt one full row of x; the median survives.
         for cell in x.cells[0]:
             cell.value = 1e9
-        assert estimate_product(x, y) == pytest.approx(1.0)
+        assert query.product(x, y).value == pytest.approx(1.0)

@@ -389,7 +389,7 @@ class TestKernelLoopGuard:
             while pending:
                 pass
             """,
-            "src/repro/sketch/backends/stride_backend.py",
+            "src/repro/sketch/kernels.py",
         )
         assert rule_ids(found) == ["R006"] * 4
         assert "shift-add" in found[0].message
@@ -412,14 +412,13 @@ class TestKernelLoopGuard:
             rows = [f(i) for i in items]
             total = sum(g(j) for j in items)
             """,
-            "src/repro/sketch/backends/numpy_backend.py",
+            "src/repro/sketch/kernels.py",
         )
         assert found == []
 
-    def test_numba_backend_and_registry_exempt(self) -> None:
+    def test_modules_outside_kernel_tier_exempt(self) -> None:
         source = "for i in range(n):\n    acc = (acc * x + c[i]) % p\n"
-        assert scan(source, "src/repro/sketch/backends/numba_backend.py") == []
-        assert scan(source, "src/repro/sketch/backends/__init__.py") == []
+        assert scan(source, "src/repro/sketch/ams.py") == []
         assert scan(source, "src/repro/stream/processor.py") == []
 
     def test_justified_loop_suppressed(self) -> None:
@@ -429,7 +428,7 @@ class TestKernelLoopGuard:
             for j in range(bits):
                 acc ^= table[j]
             """,
-            "src/repro/sketch/backends/numpy_backend.py",
+            "src/repro/sketch/kernels.py",
         )
         assert found == []
 
@@ -438,68 +437,9 @@ class TestKernelLoopGuard:
         for path in (
             "src/repro/sketch/plane.py",
             "src/repro/schemes/builtin.py",
-            "src/repro/sketch/backends/numpy_backend.py",
+            "src/repro/sketch/kernels.py",
         ):
             assert rule_ids(scan(source, path)) == ["R006"], path
-
-
-# ---------------------------------------------------------------------------
-# R007: estimate calls outside the query engine.
-# ---------------------------------------------------------------------------
-
-
-class TestEstimatePathBypass:
-    def test_direct_estimate_calls_flagged(self) -> None:
-        found = scan(
-            """\
-            def f(x, y):
-                a = estimate_product(x, y)
-                b = ams.estimate_join_size(x, y)
-                return a + b + estimate_self_join(x)
-            """,
-            "src/repro/apps/thing.py",
-        )
-        assert rule_ids(found) == ["R007", "R007", "R007"]
-        assert "query engine" in found[0].message
-
-    def test_engine_calls_clean(self) -> None:
-        found = scan(
-            """\
-            def f(x, y):
-                return query_engine.product(x, y).value
-            """,
-            "src/repro/apps/thing.py",
-        )
-        assert found == []
-
-    def test_front_ends_and_query_out_of_scope(self) -> None:
-        source = "v = estimate_product(x, y)\n"
-        for path in (
-            "src/repro/sketch/ams.py",
-            "src/repro/sketch/estimators.py",
-            "src/repro/query/engine.py",
-            "src/repro/analysis/rules.py",
-        ):
-            assert scan(source, path) == [], path
-
-    def test_other_modules_in_scope(self) -> None:
-        source = "v = estimate_join_size(x, y)\n"
-        for path in (
-            "src/repro/experiments/thing.py",
-            "src/repro/stream/thing.py",
-            "src/repro/sketch/other.py",
-        ):
-            assert rule_ids(scan(source, path)) == ["R007"], path
-
-    def test_suppression_with_reason_covers(self) -> None:
-        found = scan(
-            """\
-            # repro: allow[R007] legacy comparison harness needs raw floats
-            v = estimate_product(x, y)
-            """,
-            "src/repro/experiments/thing.py",
-        )
-        assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -752,12 +692,10 @@ class TestBaseline:
             "R004",
             "R005",
             "R006",
-            "R007",
             "R012",
             "R008",
             "R009",
             "R010",
-            "R011",
         ]
 
 
@@ -934,7 +872,7 @@ class TestSarifOutput:
         assert driver["name"] == "repro-analyze"
         rule_ids_listed = [entry["id"] for entry in driver["rules"]]
         assert rule_ids_listed[0] == "R000"
-        assert "R011" in rule_ids_listed
+        assert "R010" in rule_ids_listed
         (result,) = run["results"]
         assert result["ruleId"] == "R001"
         assert result["level"] == "error"

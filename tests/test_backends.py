@@ -1,9 +1,11 @@
-"""Tests: the kernel backend tier (registry, selection, bit identity).
+"""Tests: the packed-plane kernels and the planes built on them.
 
-Every registered (scheme x backend) pair must produce bit-identical
-totals to the per-cell scalar loop on adversarial batches, and every
-unavailable or unsupported backend must *degrade with a recorded
-reason* -- never raise out of the plane-decision path.
+Each kernel in :mod:`repro.sketch.kernels` picks a path from its input
+(seed-table width, batch size, grid width, weights given or not, prime
+Mersenne or not).  Every such choice is exercised on both sides and
+compared bit for bit against the per-bit reference functions; every
+registered plane is then compared against the per-cell scalar loop on
+adversarial batches.
 """
 
 from __future__ import annotations
@@ -13,20 +15,19 @@ import pytest
 
 from repro.core.dyadic import dyadic_cover_arrays, quaternary_cover_arrays
 from repro.generators import SeedSource
-from repro.schemes import PolyPrimePlane, all_specs, get_spec
+from repro.schemes import all_specs, get_spec
 from repro.sketch.ams import SketchScheme
 from repro.sketch.atomic import GeneratorChannel
-from repro.sketch.backends import (
-    BACKEND_ENV_VAR,
-    BackendUnsupportedError,
-    KernelBackend,
-    UnknownBackendError,
-    _BACKENDS,
-    backend_availability,
-    get_backend,
-    register_backend,
-    registered_backends,
-    select_backend,
+from repro.sketch.kernels import (
+    SMALL_BATCH,
+    bit_sums,
+    generic_poly_residues,
+    pack_counter_bits,
+    packed_linear_parity,
+    parity_kernel,
+    poly_sign_kernel,
+    unweighted_bit_sums,
+    weighted_bit_sums,
 )
 from repro.sketch.plane import counter_plane, plane_decision
 
@@ -36,10 +37,11 @@ BITS = 10
 _SCHEME_BITS = {"bch5": 8}
 
 PLANE_SCHEMES = [spec.name for spec in all_specs() if spec.plane is not None]
-BACKENDS = list(registered_backends())
-PAIRS = [
-    (scheme, backend) for scheme in PLANE_SCHEMES for backend in BACKENDS
-]
+
+#: Counter counts on each side of the one-word (<= 64 counters) grid path.
+GRID_COUNTERS = {"one-word": 40, "multi-word": 200}
+
+PLANE_GRIDS = [(s, g) for s in PLANE_SCHEMES for g in GRID_COUNTERS]
 
 
 def _scheme(name, medians=2, averages=3, seed=0xBADC0DE, bits=None):
@@ -83,108 +85,106 @@ def _adversarial_points(bits, size, rng):
     return np.concatenate([edges, interior, edges])
 
 
-def _pair_usable(scheme_name, backend_name):
-    """Can this (scheme, backend) pair actually bind, and if not why?"""
-    spec = get_spec(scheme_name)
-    if spec.backends is not None and backend_name not in spec.backends:
-        return False
-    return get_backend(backend_name).availability() is None
-
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = registered_backends()
-        assert {"numpy", "stride", "numba"} <= set(names)
-        # Priority order: stride leads, numpy (the fallback) trails.
-        assert names.index("stride") < names.index("numba")
-        assert names[-1] == "numpy"
-
-    def test_unknown_backend_lists_registry(self):
-        with pytest.raises(UnknownBackendError, match="stride"):
-            get_backend("vulkan")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(get_backend("numpy"))
-
-    def test_availability_map(self):
-        availability = backend_availability()
-        assert availability["numpy"] is None
-        assert availability["stride"] is None
-        # numba is optional: usable, or unavailable with a reason.
-        assert availability["numba"] is None or "numba" in availability["numba"]
-
-
-class TestSelection:
-    def test_default_is_best_available_priority(self):
-        assert select_backend().backend.name == "stride"
-
-    def test_explicit_request_honoured(self):
-        selection = select_backend(requested="numpy")
-        assert selection.backend.name == "numpy"
-        assert selection.reason is None
-
-    def test_env_var_respected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert select_backend().backend.name == "numpy"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert select_backend(requested="stride").backend.name == "stride"
-
-    def test_unsupported_request_degrades_with_reason(self):
-        selection = select_backend(supported=("numpy",), requested="stride")
-        assert selection.backend.name == "numpy"
-        assert "no 'stride' kernel support" in selection.reason
-
-    def test_unknown_request_degrades_with_reason(self):
-        selection = select_backend(requested="vulkan")
-        assert selection.backend.name == "stride"
-        assert "unknown backend 'vulkan'" in selection.reason
-
-    def test_empty_capability_list_falls_back_to_numpy(self):
-        selection = select_backend(supported=())
-        assert selection.backend.name == "numpy"
-        assert "no declared backend is available" in selection.reason
-
-    def test_unavailable_backend_skipped_with_reason(self):
-        class GhostBackend(KernelBackend):
-            name = "ghosttest"
-            priority = 999
-
-            def availability(self):
-                return "test stub is never usable"
-
-        register_backend(GhostBackend())
-        try:
-            selection = select_backend(requested="ghosttest")
-            assert selection.backend.name == "stride"
-            assert "test stub is never usable" in selection.reason
-            # Priority iteration also skips it silently.
-            assert select_backend().backend.name == "stride"
-        finally:
-            _BACKENDS.pop("ghosttest")
+def _packed_batch(rng, rows, counters):
+    """A random packed sign-bit batch over ``counters`` counters."""
+    return pack_counter_bits(rng.integers(0, 2, size=(rows, counters)))
 
 
 @pytest.mark.parametrize(
-    "scheme_name,backend_name", PAIRS, ids=[f"{s}-{b}" for s, b in PAIRS]
+    "counters", GRID_COUNTERS.values(), ids=GRID_COUNTERS.keys()
 )
-class TestSchemeBackendMatrix:
-    """Identity for usable pairs; recorded degradation for the rest."""
+class TestParityKernel:
+    @pytest.mark.parametrize("n_bits", [8, 9, 20])
+    def test_matches_per_bit_reference(self, counters, n_bits, rng):
+        # 8 bits stays on the per-bit pass; 9 and 20 build byte tables
+        # (two and three index bytes).
+        table = pack_counter_bits(rng.integers(0, 2, size=(n_bits, counters)))
+        top = (1 << n_bits) - 1
+        indices = np.concatenate(
+            [
+                np.array([0, top, 1, top - 1], dtype=np.uint64),
+                rng.integers(0, top + 1, size=300, dtype=np.uint64),
+            ]
+        )
+        got = parity_kernel(table)(indices)
+        assert np.array_equal(got, packed_linear_parity(indices, table))
 
-    def test_point_totals_or_recorded_degradation(
-        self, scheme_name, backend_name, rng
-    ):
-        scheme = _scheme(scheme_name, medians=2, averages=40)
-        decision = plane_decision(scheme, backend=backend_name)
-        if not _pair_usable(scheme_name, backend_name):
-            assert decision.plane is not None
-            assert decision.backend != backend_name
-            assert decision.backend_reason is not None
-            assert backend_name in decision.backend_reason
-            return
-        assert decision.backend == backend_name
-        plane = decision.plane
+    def test_empty_batch(self, counters, rng):
+        table = pack_counter_bits(rng.integers(0, 2, size=(12, counters)))
+        got = parity_kernel(table)(np.array([], dtype=np.uint64))
+        assert got.shape == (0, table.shape[1])
+
+
+@pytest.mark.parametrize(
+    "counters", GRID_COUNTERS.values(), ids=GRID_COUNTERS.keys()
+)
+@pytest.mark.parametrize("rows", [0, SMALL_BATCH, SMALL_BATCH + 1, 500])
+class TestBitSums:
+    def _unpacked(self, packed):
+        shifts = np.arange(64, dtype=np.uint64)
+        bits = (packed[:, :, np.newaxis] >> shifts) & np.uint64(1)
+        return bits.reshape(packed.shape[0], packed.shape[1] * 64).astype(
+            np.float64
+        )
+
+    def test_unweighted_matches_reference(self, counters, rows, rng):
+        packed = _packed_batch(rng, rows, counters)
+        got = bit_sums(packed, None)
+        assert np.array_equal(got, unweighted_bit_sums(packed))
+        assert np.array_equal(got, self._unpacked(packed).sum(axis=0))
+
+    def test_weighted_matches_reference(self, counters, rows, rng):
+        packed = _packed_batch(rng, rows, counters)
+        # Signed integer weights with dyadic scales, as interval pieces
+        # carry: every partial sum is an exact float64 integer.
+        weights = np.ldexp(
+            rng.integers(-5, 6, size=rows).astype(np.float64),
+            rng.integers(0, 12, size=rows),
+        )
+        got = bit_sums(packed, weights)
+        assert np.array_equal(got, weighted_bit_sums(packed, weights))
+        assert np.array_equal(got, weights @ self._unpacked(packed))
+
+    def test_unit_weights_match_unweighted(self, counters, rows, rng):
+        packed = _packed_batch(rng, rows, counters)
+        assert np.array_equal(
+            bit_sums(packed, np.ones(rows)), bit_sums(packed, None)
+        )
+
+
+class TestPolySignKernel:
+    @pytest.mark.parametrize(
+        "p",
+        [(1 << 31) - 1, (1 << 61) - 1, 2053],
+        ids=["mersenne-31", "mersenne-61", "non-mersenne"],
+    )
+    def test_matches_generic_reference(self, p, rng):
+        counters = GRID_COUNTERS["multi-word"]
+        coefficients = rng.integers(0, p, size=(counters, 4), dtype=np.uint64)
+        points = np.concatenate(
+            [
+                np.array([0, 1, p - 1, p, p + 1], dtype=np.uint64),
+                rng.integers(0, 1 << 40, size=300, dtype=np.uint64),
+            ]
+        )
+        residues = generic_poly_residues(points, coefficients, p)
+        expected = pack_counter_bits((residues & np.uint64(1)).T)
+        got = poly_sign_kernel(coefficients, p)(points)
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "scheme_name,grid", PLANE_GRIDS, ids=[f"{s}-{g}" for s, g in PLANE_GRIDS]
+)
+class TestPlaneIdentity:
+    """Every registered plane against the per-cell scalar loop."""
+
+    def test_point_totals_match_scalar(self, scheme_name, grid, rng):
+        scheme = _scheme(
+            scheme_name, medians=2, averages=GRID_COUNTERS[grid] // 2
+        )
+        plane = counter_plane(scheme)
+        assert plane is not None
         bits = plane.domain_bits
         # Large batch (histogram / adder-tree paths) with signed weights.
         points = _adversarial_points(bits, 200, rng)
@@ -198,23 +198,43 @@ class TestSchemeBackendMatrix:
         assert np.array_equal(
             got_small, _scalar_point_values(scheme, small, weights[:7])
         )
-        # Unweighted batch (pure popcount route on some backends).
+        # Unweighted batch (popcount route).
         got_ones = plane.point_totals(points)
         assert np.array_equal(
             got_ones,
             _scalar_point_values(scheme, points, np.ones(points.size)),
         )
 
-    def test_empty_batch_is_zero(self, scheme_name, backend_name):
-        if not _pair_usable(scheme_name, backend_name):
-            pytest.skip(f"backend {backend_name!r} cannot bind {scheme_name!r}")
-        scheme = _scheme(scheme_name)
-        plane = counter_plane(scheme, backend=backend_name)
-        got = plane.point_totals(np.array([], dtype=np.uint64))
-        assert np.array_equal(got, np.zeros(plane.counters))
+    def test_empty_batch_is_zero(self, scheme_name, grid):
+        plane = counter_plane(
+            _scheme(scheme_name, medians=2, averages=GRID_COUNTERS[grid] // 2)
+        )
+        empty = np.array([], dtype=np.uint64)
+        assert np.array_equal(plane.point_totals(empty), np.zeros(plane.counters))
+        assert np.array_equal(
+            plane.point_totals(empty, np.array([], dtype=np.float64)),
+            np.zeros(plane.counters),
+        )
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
+class TestPlaneDecision:
+    def test_decision_cached_per_scheme(self):
+        scheme = _scheme("eh3")
+        decision = plane_decision(scheme)
+        assert plane_decision(scheme) is decision
+        assert counter_plane(scheme) is decision.plane
+        # A second grid over the same seeds builds its own decision.
+        other = _scheme("eh3")
+        assert plane_decision(other) is not decision
+        assert np.array_equal(
+            plane_decision(other).plane.point_totals(np.arange(16, dtype=np.uint64)),
+            decision.plane.point_totals(np.arange(16, dtype=np.uint64)),
+        )
+
+
+@pytest.mark.parametrize(
+    "grid", GRID_COUNTERS.keys(), ids=GRID_COUNTERS.keys()
+)
 class TestIntervalIdentity:
     def _intervals(self, bits, size, rng):
         top = (1 << bits) - 1
@@ -223,11 +243,14 @@ class TestIntervalIdentity:
         pairs = [(int(min(a, b)), int(max(a, b))) for a, b in zip(lows, highs)]
         return pairs + [(0, top), (0, 0), (top, top)]
 
-    def test_eh3_quaternary_pieces(self, backend_name, rng):
-        if not _pair_usable("eh3", backend_name):
-            pytest.skip(f"backend {backend_name!r} unavailable")
-        scheme = _scheme("eh3")
-        plane = counter_plane(scheme, backend=backend_name)
+    def _grid_scheme(self, name, grid, bits=None):
+        return _scheme(
+            name, medians=2, averages=GRID_COUNTERS[grid] // 2, bits=bits
+        )
+
+    def test_eh3_quaternary_pieces(self, grid, rng):
+        scheme = self._grid_scheme("eh3", grid)
+        plane = counter_plane(scheme)
         intervals = self._intervals(BITS, 20, rng)
         weights = rng.integers(1, 5, size=len(intervals)).astype(np.float64)
         cover = quaternary_cover_arrays(
@@ -239,11 +262,9 @@ class TestIntervalIdentity:
         expected = _scalar_interval_values(scheme, intervals, weights)
         assert np.array_equal(got, expected)
 
-    def test_bch3_dyadic_pieces(self, backend_name, rng):
-        if not _pair_usable("bch3", backend_name):
-            pytest.skip(f"backend {backend_name!r} unavailable")
-        scheme = _scheme("bch3")
-        plane = counter_plane(scheme, backend=backend_name)
+    def test_bch3_dyadic_pieces(self, grid, rng):
+        scheme = self._grid_scheme("bch3", grid)
+        plane = counter_plane(scheme)
         intervals = self._intervals(BITS, 20, rng)
         weights = rng.integers(1, 5, size=len(intervals)).astype(np.float64)
         cover = dyadic_cover_arrays(
@@ -253,100 +274,14 @@ class TestIntervalIdentity:
         expected = _scalar_interval_values(scheme, intervals, weights)
         assert np.array_equal(got, expected)
 
-    def test_wide_domain_eh3_bit_identical_across_backends(self, backend_name):
+    def test_wide_domain_eh3_bit_identical(self, grid):
         # 62-bit bounds exercise the >=2^57 packed-key edge of the bulk
         # dedup path and the widest uint64 arithmetic the kernels see.
-        if not _pair_usable("eh3", backend_name):
-            pytest.skip(f"backend {backend_name!r} unavailable")
         top = (1 << 62) - 1
         bounds = [(0, top), (123, top - 5), (1 << 57, 1 << 61)]
-
-        def values(backend):
-            scheme = _scheme("eh3", bits=62)
-            scheme.kernel_backend = backend
-            sketch = scheme.sketch()
-            for pair in bounds:
-                sketch.update_interval(pair, 2.0)
-            return sketch.values()
-
-        assert np.array_equal(values(backend_name), values("numpy"))
-
-
-class TestDegradation:
-    def test_polyprime_requested_stride_degrades(self):
-        scheme = _scheme("polyprime")
-        decision = plane_decision(scheme, backend="stride")
-        assert decision.plane is not None
-        assert decision.backend == "numpy" or decision.backend == "numba"
-        assert "no 'stride' kernel support" in decision.backend_reason
-
-    def test_plane_decision_never_raises_for_registered_backends(self):
-        for scheme_name in PLANE_SCHEMES:
-            for backend_name in registered_backends():
-                decision = plane_decision(
-                    _scheme(scheme_name), backend=backend_name
-                )
-                assert decision.plane is not None, (scheme_name, backend_name)
-                assert decision.backend is not None
-
-    def test_stride_poly_kernel_declares_unsupported(self):
-        spec = get_spec("polyprime")
-        source = SeedSource(7)
-        generators = [spec.factory(BITS, source) for _ in range(3)]
-        with pytest.raises(BackendUnsupportedError, match="byte-lookup"):
-            PolyPrimePlane(generators, backend="stride")
-
-    def test_construction_rejection_degrades_to_numpy(self):
-        # A backend that is selectable (registered, declared by the
-        # scheme, available) but whose kernels decline the grid must be
-        # swapped for the reference engine with the reason kept.
-        import dataclasses
-
-        from repro.schemes import registry as scheme_registry
-
-        class PickyBackend(KernelBackend):
-            name = "pickytest"
-            priority = 500
-
-            def parity_kernel(self, table):
-                raise BackendUnsupportedError("declines every grid")
-
-            def bit_sums(self, packed, weights):
-                raise AssertionError("never reached")
-
-        register_backend(PickyBackend())
-        spec = get_spec("eh3")
-        patched = dataclasses.replace(
-            spec, backends=(*spec.backends, "pickytest")
-        )
-        scheme_registry._SPECS["eh3"] = patched
-        scheme_registry._BY_CLS[spec.cls] = patched
-        try:
-            scheme = _scheme("eh3")
-            decision = plane_decision(scheme, backend="pickytest")
-            assert decision.plane is not None
-            assert decision.backend == "numpy"
-            assert "declines every grid" in decision.backend_reason
-        finally:
-            scheme_registry._SPECS["eh3"] = spec
-            scheme_registry._BY_CLS[spec.cls] = spec
-            _BACKENDS.pop("pickytest")
-
-    def test_scheme_kernel_backend_attribute_respected(self):
-        scheme = _scheme("eh3")
-        scheme.kernel_backend = "numpy"
-        decision = plane_decision(scheme)
-        assert decision.backend == "numpy"
-
-    def test_env_var_steers_plane_binding(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        decision = plane_decision(_scheme("eh3"))
-        assert decision.backend == "numpy"
-
-    def test_decisions_cached_per_requested_backend(self):
-        scheme = _scheme("eh3")
-        default = plane_decision(scheme)
-        assert plane_decision(scheme) is default
-        numpy_decision = plane_decision(scheme, backend="numpy")
-        assert numpy_decision is not default
-        assert plane_decision(scheme, backend="numpy") is numpy_decision
+        scheme = self._grid_scheme("eh3", grid, bits=62)
+        fast = scheme.sketch()
+        for pair in bounds:
+            fast.update_interval(pair, 2.0)
+        expected = _scalar_interval_values(scheme, bounds, [2.0] * len(bounds))
+        assert np.array_equal(fast.values().ravel(), expected)

@@ -1,0 +1,52 @@
+"""Tests for the bulk-bench floor gate (``repro.bench.check_floors``)."""
+
+from __future__ import annotations
+
+from repro.bench import check_floors
+
+
+def _report(**workloads):
+    return {
+        "config": {"floors": {"eh3_point_batch": 10.0}},
+        "workloads": workloads,
+    }
+
+
+def _entry(speedup=20.0, identical=True):
+    return {
+        "plane_ns_per_op": 300.0,
+        "plane_ms": 6.0,
+        "speedup": speedup,
+        "identical": identical,
+    }
+
+
+class TestCheckFloors:
+    def test_passing_report(self):
+        report = _report(
+            eh3_point_batch=_entry(), eh3_interval_batch=_entry(speedup=2.0)
+        )
+        assert check_floors(report) == []
+
+    def test_speedup_below_floor_fails(self):
+        problems = check_floors(_report(eh3_point_batch=_entry(speedup=9.9)))
+        assert len(problems) == 1
+        assert "below the 10.0x floor" in problems[0]
+
+    def test_non_identical_counters_fail(self):
+        # Unfloored workloads are gated on bit-identity too.
+        problems = check_floors(
+            _report(
+                eh3_point_batch=_entry(),
+                bch3_interval_batch=_entry(identical=False),
+            )
+        )
+        assert len(problems) == 1
+        assert "bch3_interval_batch" in problems[0]
+        assert "not bit-identical" in problems[0]
+
+    def test_missing_floored_workload_fails(self):
+        problems = check_floors(_report(eh3_interval_batch=_entry()))
+        assert problems == [
+            "floored workload 'eh3_point_batch' is missing from the report"
+        ]

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import query
 from repro.generators import EH3, SeedSource
 from repro.sketch.ams import SketchScheme
 from repro.sketch.estimators import (
-    estimate_join_size,
-    estimate_self_join,
     exact_join_size,
     exact_self_join,
     relative_error,
@@ -74,7 +73,7 @@ class TestEstimationAccuracy:
         truth = exact_join_size(r, s)
         x = sketch_frequency_vector(scheme, r)
         y = sketch_frequency_vector(scheme, s)
-        assert relative_error(estimate_join_size(x, y), truth) < 0.2
+        assert relative_error(query.join_size(x, y).value, truth) < 0.2
 
     def test_self_join_uniform_is_exact_for_eh3(self, source: SeedSource):
         """Proposition 5 end-to-end: uniform data on a 4^n domain gives a
@@ -83,7 +82,7 @@ class TestEstimationAccuracy:
         frequencies = np.full(1 << 10, 5.0)
         sketch = sketch_frequency_vector(scheme, frequencies)
         truth = exact_self_join(frequencies)
-        assert estimate_self_join(sketch) == pytest.approx(truth, rel=1e-9)
+        assert query.self_join(sketch).value == pytest.approx(truth, rel=1e-9)
 
     def test_interval_relation_join(self, source: SeedSource):
         """Join of an interval-built relation with a point relation."""
@@ -95,4 +94,4 @@ class TestEstimationAccuracy:
         # Per-cell variance ~ F2(intervals) * F2(points) ~ 1115 * 2, so
         # one row's sd is ~ sqrt(2230 / 800) ~ 1.7.
         truth = 2 + 1
-        assert estimate_join_size(x, y) == pytest.approx(truth, abs=3.0)
+        assert query.join_size(x, y).value == pytest.approx(truth, abs=3.0)

@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import query
 from repro.generators import EH3, SeedSource
 from repro.sketch.ams import SketchScheme, recommended_grid
 from repro.sketch.estimators import (
-    estimate_join_size,
     exact_join_size,
     sketch_frequency_vector,
 )
@@ -46,7 +46,7 @@ class TestGuaranteeCoverage:
             )
             x = sketch_frequency_vector(scheme, r)
             y = sketch_frequency_vector(scheme, s)
-            estimate = estimate_join_size(x, y)
+            estimate = query.join_size(x, y).value
             if abs(estimate - truth) <= epsilon * truth:
                 hits += 1
         # Expect >= (1 - delta); allow binomial wiggle on 30 trials.

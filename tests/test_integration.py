@@ -10,13 +10,12 @@ from repro import (
     EH3,
     SeedSource,
     SketchScheme,
-    estimate_product,
+    query,
     relative_error,
 )
 from repro.rangesum.dmap import DMAP
 from repro.sketch.atomic import DMAPChannel, GeneratorChannel
 from repro.sketch.estimators import (
-    estimate_join_size,
     exact_join_size,
     sketch_frequency_vector,
 )
@@ -81,7 +80,7 @@ class TestStreamingPipeline:
         )
         x = sketch_frequency_vector(scheme, r)
         y = sketch_frequency_vector(scheme, s)
-        assert relative_error(estimate_join_size(x, y), truth) < 0.3
+        assert relative_error(query.join_size(x, y).value, truth) < 0.3
 
     def test_eh3_and_dmap_estimate_same_quantity(self, source: SeedSource):
         """Both methods target the identical interval-point join."""
@@ -111,7 +110,7 @@ class TestStreamingPipeline:
             y = scheme.sketch()
             for p in points:
                 y.update_point(p)
-            estimate = estimate_product(x, y)
+            estimate = query.product(x, y).value
             assert estimate == pytest.approx(truth, rel=0.6)
 
     def test_frequency_vector_reconstruction_consistency(self):
@@ -151,7 +150,7 @@ class TestAdditionalScenarios:
         for a, b in s_intervals:
             cov_s[a : b + 1] += 1
         truth = float(np.dot(cov_r, cov_s))
-        estimate = estimate_product(x, y)
+        estimate = query.product(x, y).value
         assert estimate == pytest.approx(truth, rel=0.5)
 
     def test_turnstile_deletions(self, source: SeedSource):

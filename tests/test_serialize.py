@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import query
 from repro.generators import BCH5, EH3, SeedSource
 from repro.rangesum.dmap import DMAP
 from repro.rangesum.multidim import ProductDMAP, ProductGenerator
 from repro.schemes import all_specs, get_spec, registered_schemes
-from repro.sketch.ams import SketchScheme, estimate_product
+from repro.sketch.ams import SketchScheme
 from repro.sketch.atomic import (
     DMAPChannel,
     GeneratorChannel,
@@ -130,7 +131,7 @@ class TestSchemeAndSketch:
         probe = scheme.sketch()
         probe.update_point(5)
         # X = (2 xi_5 + xi_200) xi_5 = 2 + noise of sd 1/sqrt(averages).
-        assert estimate_product(received, probe) == pytest.approx(2.0, abs=0.6)
+        assert query.product(received, probe).value == pytest.approx(2.0, abs=0.6)
 
     def test_shape_mismatch_rejected(self, source: SeedSource):
         scheme = SketchScheme.from_generators(
@@ -201,8 +202,9 @@ class TestAllChannelKindsRoundTrip:
         rebuilt = sketch_from_dict(wire)  # scheme reconstructed from wire
         assert np.array_equal(rebuilt.values(), sketch.values())
         # The self-join answer (the paper's F2 estimate) is bit-identical.
-        assert estimate_product(rebuilt, rebuilt) == estimate_product(
-            sketch, sketch
+        assert (
+            query.product(rebuilt, rebuilt).value
+            == query.product(sketch, sketch).value
         )
 
     @pytest.mark.parametrize(
@@ -324,6 +326,7 @@ class TestSerializeProperty:
             json.loads(json.dumps(sketch_to_dict(probe))),
             scheme=rebuilt.scheme,
         )
-        assert estimate_product(rebuilt, rebuilt_probe) == estimate_product(
-            sketch, probe
+        assert (
+            query.product(rebuilt, rebuilt_probe).value
+            == query.product(sketch, probe).value
         )
