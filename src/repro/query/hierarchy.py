@@ -1,18 +1,24 @@
 """CSH-style dyadic hierarchy: heavy hitters and quantiles by descent.
 
-One :class:`repro.sketch.ams.SketchMatrix` per dyadic level over a
-``2^n`` domain, **all levels sharing one scheme** (the same seeds): a
-level-``l`` block index ``q = item >> l`` lives in the sub-domain
-``[0, 2^(n-l))`` of the full domain, where the scheme's n-bit +/-1
-generators are just as 3-wise independent, so no per-level seed material
-is needed and ``range_sums`` batching applies unchanged.
+The counter grids of all dyadic levels over a ``2^n`` domain form one
+float64 ``(levels, medians, averages)`` table (CSH's ``tables``), **all
+levels sharing one scheme** (the same seeds): a level-``l`` block index
+``q = item >> l`` lives in the sub-domain ``[0, 2^(n-l))`` of the full
+domain, where the scheme's n-bit +/-1 generators are just as 3-wise
+independent, so no per-level seed material is needed and one packed
+plane serves every level.  A write shifts its batch once per level,
+signs it with the plane's ``point_signs`` and forms every level's totals
+before one ``table += totals`` commits them, so a write that fails part
+way has changed nothing; a descent step signs its candidate blocks in
+one pass and unpacks the bits to +/-1.  Schemes without a packed plane
+(RM7, Toeplitz) take their signs from the channels' own generators, and
+so does every update with ``use_plane=False``, the plane-free retry a
+stream processor runs when the plane fails.
 
-A point update fans out to every level (``item >> l`` into level ``l``);
-an interval update touches each level with at most two partial edge
-blocks (point updates weighted by the overlap) plus one run of full
-blocks (a single range-summable interval update weighted by the block
-size) -- O(1) sketch operations per level, which is what makes the
-surfaces maintainable continuously.
+An interval update touches each level with at most two partial edge
+blocks (weighted by the overlap) plus one run of full blocks (a single
+range-summable run weighted by the block size) -- O(1) sketch operations
+per level, which is what makes the surfaces maintainable continuously.
 
 Heavy hitters descend from the root: a block whose estimated frequency
 clears the threshold expands into its two children one level down; any
@@ -30,104 +36,180 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro import obs
-from repro.query.estimate import predicted_relative_error
+from repro.query.estimate import estimate_from_products, predicted_relative_error
 from repro.query.types import Estimate, HeavyHitter, PlanStats
-from repro.sketch.ams import SketchMatrix, SketchScheme
+from repro.sketch.ams import SketchMatrix, SketchScheme, plane_interval_totals
+from repro.sketch.kernels import bit_sums, pack_counter_bits, unpack_counter_bits
 
 __all__ = ["DyadicHierarchy"]
 
+#: Most sign-bit rows one packed write pass holds.  A small batch signs
+#: every level in one pass (64 points x 17 levels = 1,088 rows); a large
+#: one goes level by level, so a 60k-point load holds one level's signs
+#: at a time.
+SIGN_ROWS = 1 << 16
+
 
 class DyadicHierarchy:
-    """Per-level sketches of one relation, maintained update by update."""
+    """Per-level counters of one relation, maintained update by update."""
 
     def __init__(self, scheme: SketchScheme, domain_bits: int) -> None:
+        from repro.schemes import channel_kind
+
         if domain_bits <= 0:
             raise ValueError("domain_bits must be positive")
+        channels = [channel for row in scheme.channels for channel in row]
+        if any(channel_kind(channel) != "generator" for channel in channels):
+            raise TypeError("a dyadic hierarchy requires GeneratorChannel cells")
         self.scheme = scheme
         self.domain_bits = int(domain_bits)
-        # Level l sketches block indices item >> l; level 0 is the items
-        # themselves, level ``domain_bits`` the single root block.
-        self._sketches = [scheme.sketch() for _ in range(self.domain_bits + 1)]
+        self._generators = [channel.generator for channel in channels]
+        # Level l holds the counters of block indices item >> l; level 0
+        # is the items themselves, level ``domain_bits`` the single root.
+        levels = self.domain_bits + 1
+        self._table = np.zeros(
+            (levels, scheme.medians, scheme.averages), dtype=np.float64
+        )
+        self._shifts = np.arange(levels, dtype=np.uint64)[:, np.newaxis]
 
     @property
     def levels(self) -> int:
         """Number of maintained levels (``domain_bits + 1``)."""
-        return len(self._sketches)
+        return int(self._table.shape[0])
 
     def sketch_at(self, level: int) -> SketchMatrix:
-        """The sketch of block indices at one level."""
-        return self._sketches[level]
+        """A copy of one level's counters as a sketch of the scheme."""
+        return SketchMatrix.from_values(self.scheme, self._table[level])
+
+    # -- sign sources ----------------------------------------------------
+
+    def _sign_bits(self, indices: np.ndarray, plane: Any) -> np.ndarray:
+        """Packed ``(n, words)`` sign bits of ``indices``, bit set where -1.
+
+        The plane's one sign pass, or -- with ``plane=None`` -- one
+        ``generator.values`` call per counter, packed the same way.
+        """
+        if plane is not None:
+            return plane.point_signs(indices)
+        negative = [generator.values(indices) < 0 for generator in self._generators]
+        return pack_counter_bits(np.array(negative).T)
+
+    def _point_totals(
+        self,
+        items: Sequence[int] | np.ndarray,
+        weights: Sequence[float] | np.ndarray | None,
+        plane: Any,
+    ) -> np.ndarray:
+        """Every level's totals of a point batch, shaped like the table.
+
+        The batch is shifted once per level (row ``l`` holds each item's
+        level-``l`` block) and signed a group of levels per pass.  Totals
+        are ``base - 2 * (ones per counter)``, the planes' finisher, with
+        one ``bit_sums`` call over the group's levels side by side: each
+        column still sums the batch's rows in order, so every level's
+        floats match a per-level ``bit_sums``.
+        """
+        items = np.asarray(items, dtype=np.uint64).ravel()
+        batch = items.size
+        u = None if weights is None else np.asarray(weights, dtype=np.float64).ravel()
+        base = float(batch) if u is None else float(u.sum())
+        counters = self.scheme.counters
+        totals = np.empty((self.levels, counters), dtype=np.float64)
+        group = max(1, SIGN_ROWS // batch)
+        for first in range(0, self.levels, group):
+            blocks = items >> self._shifts[first : first + group]
+            count = blocks.shape[0]
+            signs = self._sign_bits(blocks.ravel(), plane).reshape(count, batch, -1)
+            columns = signs.transpose(1, 0, 2).reshape(batch, -1)
+            ones = bit_sums(columns, u).reshape(count, -1)[:, :counters]
+            totals[first : first + count] = base - 2.0 * ones
+        return totals.reshape(self._table.shape)
+
+    def _interval_totals(
+        self,
+        intervals: Sequence[Sequence[int]] | np.ndarray,
+        weights: Sequence[float] | np.ndarray | None,
+        plane: Any,
+    ) -> np.ndarray:
+        """Every level's totals of an interval batch, shaped like the table.
+
+        Each block run is one range-sum: the plane's interval kernel, or
+        the channels' own range-sums where it has none.
+        """
+        totals = np.zeros_like(self._table)
+        for position, (low, high) in enumerate(intervals):
+            scale = 1.0 if weights is None else float(weights[position])
+            for level, first, last, w in self._interval_ops(low, high, scale):
+                unit = plane_interval_totals(plane, (first, last))
+                if unit is None:
+                    unit = np.array(
+                        [[c.interval((first, last)) for c in row] for row in self.scheme.channels],
+                        dtype=np.float64,
+                    )
+                totals[level] += w * unit.reshape(totals.shape[1:])
+        return totals
 
     # -- updates ---------------------------------------------------------
+    #
+    # ``use_plane=False`` takes every sign from the channels' generators:
+    # the plane-free retry a stream processor runs when the shared plane
+    # fails.  Bit-identical to the plane paths for integer weights.
 
-    def update_point(self, item: int, weight: float = 1.0) -> None:
-        """Fan one point into every level's sketch."""
-        obs.counter("query.hierarchy.updates_total").inc()
-        item = int(item)
-        for level, sketch in enumerate(self._sketches):
-            sketch.update_point(item >> level, weight)
+    def update_point(
+        self, item: int, weight: float = 1.0, *, use_plane: bool = True
+    ) -> None:
+        """Fan one point into every level."""
+        self.update_points([item], [weight], use_plane=use_plane)
 
     def update_points(
         self,
         items: Sequence[int] | np.ndarray,
         weights: Sequence[float] | np.ndarray | None = None,
+        *,
+        use_plane: bool = True,
     ) -> None:
-        """Fan a point batch into every level (one plane pass per level)."""
+        """Fan a point batch into every level (one sign pass per group)."""
         array = np.asarray(items, dtype=np.uint64)
         if array.size == 0:
             return
+        plane = self.scheme.plane() if use_plane else None
+        self._table += self._point_totals(array, weights, plane)
         obs.counter("query.hierarchy.updates_total").inc(array.size)
-        for level, sketch in enumerate(self._sketches):
-            sketch.update_points(array >> np.uint64(level), weights)
 
     def _interval_ops(
         self, low: int, high: int, weight: float
-    ) -> list[tuple[int, str, int, int, float]]:
-        """Per-level operations of one interval: ``(level, kind, a, b, w)``.
+    ) -> list[tuple[int, int, int, float]]:
+        """Per-level block runs of one interval: ``(level, first, last, w)``.
 
-        Per level: the run of fully-covered blocks is one range-summable
-        interval update weighted by the block size; the (at most two)
-        partially-covered edge blocks are point updates weighted by
-        their overlap.
+        Per level, the (at most two) partially covered edge blocks are
+        single-block runs weighted by their overlap, and the run of fully
+        covered blocks is one range-summable run weighted by the block
+        size.
         """
-        low = int(low)
-        high = int(high)
+        low, high = int(low), int(high)
         if low > high:
             raise ValueError(f"empty interval [{low}, {high}]")
-        ops: list[tuple[int, str, int, int, float]] = [
-            (0, "interval", low, high, weight)
-        ]
+        ops = [(0, low, high, weight)]
         for level in range(1, self.levels):
-            mask = (1 << level) - 1
-            first_block = low >> level
-            last_block = high >> level
-            if first_block == last_block:
-                ops.append(
-                    (level, "point", first_block, 0, weight * (high - low + 1))
-                )
+            size = 1 << level
+            first, last = low >> level, high >> level
+            if first == last:
+                ops.append((level, first, first, weight * (high - low + 1)))
                 continue
-            full_lo, full_hi = first_block, last_block
-            head = low & mask
-            if head:  # leading partial block
-                ops.append(
-                    (level, "point", first_block, 0,
-                     weight * ((mask + 1) - head))
-                )
-                full_lo += 1
-            tail = high & mask
-            if tail != mask:  # trailing partial block
-                ops.append(
-                    (level, "point", last_block, 0, weight * (tail + 1))
-                )
-                full_hi -= 1
-            if full_lo <= full_hi:
-                ops.append(
-                    (level, "interval", full_lo, full_hi, weight * (mask + 1))
-                )
+            head = size - (low & (size - 1))  # covered items of block `first`
+            tail = (high & (size - 1)) + 1  # covered items of block `last`
+            if head < size:
+                ops.append((level, first, first, weight * head))
+                first += 1
+            if tail < size:
+                ops.append((level, last, last, weight * tail))
+                last -= 1
+            if first <= last:
+                ops.append((level, first, last, weight * size))
         return ops
 
     def update_interval(
-        self, low: int, high: int, weight: float = 1.0
+        self, low: int, high: int, weight: float = 1.0, *, use_plane: bool = True
     ) -> None:
         """Add ``weight`` to every item of ``[low, high]`` at every level.
 
@@ -135,78 +217,19 @@ class DyadicHierarchy:
         exact for integer weights -- the counters land bit-identical to
         feeding every point individually.
         """
-        obs.counter("query.hierarchy.updates_total").inc()
-        for level, kind, a, b, w in self._interval_ops(low, high, weight):
-            if kind == "interval":
-                self._sketches[level].update_interval((a, b), w)
-            else:
-                self._sketches[level].update_point(a, w)
+        self.update_intervals([(low, high)], [weight], use_plane=use_plane)
 
     def update_intervals(
         self,
         intervals: Sequence[Sequence[int]] | np.ndarray,
         weights: Sequence[float] | np.ndarray | None = None,
+        *,
+        use_plane: bool = True,
     ) -> None:
-        """Add a batch of inclusive intervals level by level."""
-        for position, bounds in enumerate(intervals):
-            low, high = bounds
-            scale = 1.0 if weights is None else float(weights[position])
-            self.update_interval(int(low), int(high), scale)
-
-    # -- plane-free scalar fallbacks -------------------------------------
-    #
-    # The hierarchy shares its scheme (and thus its packed plane) with
-    # the base relation sketch; when a stream processor degrades a broken
-    # plane it needs update paths that never touch it.  These mirror the
-    # fast paths per cell, bit-identical for integer weights.
-
-    def scalar_update_point(self, item: int, weight: float = 1.0) -> None:
-        """Per-cell fallback of :meth:`update_point` (no plane)."""
-        item = int(item)
-        for level, sketch in enumerate(self._sketches):
-            block = item >> level
-            for row in sketch.cells:
-                for cell in row:
-                    cell.update_point(block, weight)
-
-    def scalar_update_points(
-        self,
-        items: Sequence[int] | np.ndarray,
-        weights: Sequence[float] | np.ndarray | None = None,
-    ) -> None:
-        """Per-cell fallback of :meth:`update_points` (no plane)."""
-        array = np.asarray(items, dtype=np.uint64)
-        if array.size == 0:
-            return
-        for level, sketch in enumerate(self._sketches):
-            blocks = array >> np.uint64(level)
-            for row in sketch.cells:
-                for cell in row:
-                    cell.update_points(blocks, weights)
-
-    def scalar_update_interval(
-        self, low: int, high: int, weight: float = 1.0
-    ) -> None:
-        """Per-cell fallback of :meth:`update_interval` (no plane)."""
-        for level, kind, a, b, w in self._interval_ops(low, high, weight):
-            sketch = self._sketches[level]
-            for row in sketch.cells:
-                for cell in row:
-                    if kind == "interval":
-                        cell.update_interval((a, b), w)
-                    else:
-                        cell.update_point(a, w)
-
-    def scalar_update_intervals(
-        self,
-        intervals: Sequence[Sequence[int]] | np.ndarray,
-        weights: Sequence[float] | np.ndarray | None = None,
-    ) -> None:
-        """Per-cell fallback of :meth:`update_intervals` (no plane)."""
-        for position, bounds in enumerate(intervals):
-            low, high = bounds
-            scale = 1.0 if weights is None else float(weights[position])
-            self.scalar_update_interval(int(low), int(high), scale)
+        """Add a batch of inclusive intervals, committed at once."""
+        plane = self.scheme.plane() if use_plane else None
+        self._table += self._interval_totals(intervals, weights, plane)
+        obs.counter("query.hierarchy.updates_total").inc(len(intervals))
 
     # -- block estimation ------------------------------------------------
 
@@ -215,28 +238,26 @@ class DyadicHierarchy:
     ) -> np.ndarray:
         """Estimated frequencies of a batch of blocks at one level.
 
-        Vectorized across the batch: each generator cell evaluates all
-        candidate blocks at once, then the shared median-of-means
-        reduction runs column-wise.  Per block, bit-identical to a
-        point query against the level's sketch.
+        Vectorized across the batch: one sign pass evaluates every
+        counter on all candidate blocks at once, then the shared
+        median-of-means reduction runs column-wise.  Per block,
+        bit-identical to a point query against the level's sketch.  If
+        the plane raises, the signs come from the channels' generators
+        (the source the ``use_plane=False`` writes use), so descents keep
+        answering while a stream processor degrades around the plane.
         """
-        from repro.schemes import channel_kind
-
-        sketch = self._sketches[level]
-        blocks = np.asarray(blocks, dtype=np.uint64)
-        counters = sketch.values()
-        medians, averages = counters.shape
-        values = np.empty((medians, averages, blocks.size), dtype=np.float64)
-        for r, row in enumerate(self.scheme.channels):
-            for c, channel in enumerate(row):
-                if channel_kind(channel) != "generator":
-                    raise TypeError(
-                        "hierarchy descent requires GeneratorChannel cells"
-                    )
-                values[r, c, :] = channel.generator.values(blocks)
+        blocks = np.asarray(blocks, dtype=np.uint64).ravel()
+        try:
+            signs = self._sign_bits(blocks, self.scheme.plane())
+        except Exception:  # noqa: BLE001 -- a broken plane: same signs, plane-free
+            signs = self._sign_bits(blocks, None)
+        bits = unpack_counter_bits(signs, self.scheme.counters)
+        values = np.ascontiguousarray((1.0 - 2.0 * bits).T).reshape(
+            self.scheme.medians, self.scheme.averages, blocks.size
+        )
         # The column-batched form of repro.query.estimate.median_of_means:
         # same floats, same summation order, one candidate per column.
-        products = counters[:, :, None] * values
+        products = self._table[level][:, :, np.newaxis] * values
         row_means = products.mean(axis=1)  # (medians, blocks)
         return np.asarray(np.median(row_means, axis=0), dtype=np.float64)
 
@@ -250,19 +271,18 @@ class DyadicHierarchy:
         A level-``l`` block estimate has variance bounded by the level's
         second moment, so its expected absolute error is
         ``sqrt(2/pi) * sqrt(F2_l / averages)`` -- with ``F2_l`` itself
-        estimated from the level sketch.  Index ``[l]`` is the envelope
+        estimated from the level's counters by the reduction
+        ``engine.self_join`` runs.  Index ``[l]`` is the envelope
         for level-``l`` blocks; pass the list as ``slack`` to
         :meth:`heavy_hitters` for recall at the paper's error bound.
         """
-        from repro.query import engine
-
-        envelopes = []
-        for sketch in self._sketches:
-            f2 = max(engine.self_join(sketch).value, 0.0)
-            envelopes.append(
-                predicted_relative_error(f2, 1.0, self.scheme.averages)
+        averages = self.scheme.averages
+        return [
+            predicted_relative_error(
+                max(estimate_from_products(grid * grid).value, 0.0), 1.0, averages
             )
-        return envelopes
+            for grid in self._table
+        ]
 
     # -- surfaces --------------------------------------------------------
 
@@ -368,17 +388,23 @@ class DyadicHierarchy:
     # -- durability ------------------------------------------------------
 
     def counters_state(self) -> list[list[list[float]]]:
-        """The per-level counter grids, snapshot-serializable."""
-        return [sketch.values().tolist() for sketch in self._sketches]
+        """The ``(levels, medians, averages)`` table as nested lists."""
+        state: list[list[list[float]]] = self._table.tolist()
+        return state
 
     def restore_counters(self, state: Sequence[Any]) -> None:
-        """Load counter grids saved by :meth:`counters_state`."""
-        if len(state) != len(self._sketches):
+        """Load a table saved by :meth:`counters_state`.
+
+        The state must be exactly ``(levels, medians, averages)`` finite
+        floats; anything else raises :class:`ValueError` and leaves the
+        counters as they were.
+        """
+        grid = np.asarray(state, dtype=np.float64)  # ragged: ValueError
+        if grid.shape != self._table.shape:
             raise ValueError(
-                f"hierarchy snapshot has {len(state)} levels, "
-                f"expected {len(self._sketches)}"
+                f"hierarchy snapshot has shape {grid.shape}, expected "
+                f"(levels, medians, averages) = {self._table.shape}"
             )
-        for sketch, grid in zip(self._sketches, state):
-            for row, values in zip(sketch.cells, grid):
-                for cell, value in zip(row, values):
-                    cell.value = float(value)
+        if not np.isfinite(grid).all():
+            raise ValueError("hierarchy snapshot holds non-finite counters")
+        self._table[...] = grid

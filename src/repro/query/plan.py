@@ -4,7 +4,7 @@ A :class:`LevelPlan` is the resolved decomposition of one inclusive
 interval ``[alpha, beta]`` into dyadic pieces, in the shape the target
 scheme's kernel consumes.  The planner dispatches on the scheme's
 declared ``interval_kind`` (via its packed plane, exactly like
-``SketchMatrix._plane_interval_totals``):
+``repro.sketch.ams.plane_interval_totals``):
 
 ``quaternary``
     EH3's Theorem-2 shape: even binary levels only
@@ -120,7 +120,7 @@ class LevelPlan:
 def scheme_interval_kind(scheme: "SketchScheme") -> str | None:
     """The decomposition family of a scheme's packed kernel, or ``None``.
 
-    Mirrors ``SketchMatrix._plane_interval_totals``: the plane's declared
+    Mirrors ``repro.sketch.ams.plane_interval_totals``: the plane's declared
     ``interval_kind`` decides the piece shape; a scheme with no plane has
     no batched decomposition capability.
     """

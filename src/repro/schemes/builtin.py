@@ -71,8 +71,8 @@ class PolyPrimePlane(PackedPlane):
     path bit for bit.  Non-Mersenne research primes take the kernel's
     exact generic route.
 
-    Batches are processed in chunks to bound the ``(counters, chunk)``
-    temporaries.
+    Sign passes run in chunks to bound the ``(counters, chunk)``
+    temporaries, and the finisher sums the totals chunk by chunk.
     """
 
     interval_kind = None
@@ -98,23 +98,32 @@ class PolyPrimePlane(PackedPlane):
         self.coefficients = matrix
         self._signs = poly_sign_kernel(self.coefficients, self.p)
 
+    def point_signs(self, points: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Packed ``(batch, words)`` sign bits of a point batch."""
+        points = self._check_points(points)
+        chunks = [
+            self._signs(points[start : start + self._CHUNK])
+            for start in range(0, points.size, self._CHUNK)
+        ]
+        if not chunks:
+            return np.zeros((0, self.words), dtype=np.uint64)
+        return np.concatenate(chunks)
+
     def point_totals(
         self,
         points: Sequence[int] | np.ndarray,
         weights: Sequence[float] | np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-counter ``sum_p w_p * xi_c(p)`` for a point batch."""
-        points = self._check_points(points)
-        u = self._weights_or_none(weights, points.size)
-        totals = np.zeros(self.counters, dtype=np.float64)
         start_time = obs.monotonic()
-        # repro: allow[R006] chunk traversal: each pass evaluates a whole (counters, chunk) block
-        for start in range(0, points.size, self._CHUNK):
+        signs = self.point_signs(points)
+        u = self._weights_or_none(weights, signs.shape[0])
+        totals = np.zeros(self.counters, dtype=np.float64)
+        # repro: allow[R006] chunk traversal: one finisher pass per (chunk, words) block
+        for start in range(0, signs.shape[0], self._CHUNK):
             stop = start + self._CHUNK
             chunk_u = None if u is None else u[start:stop]
-            totals += self._signed_totals(
-                self._signs(points[start:stop]), chunk_u
-            )
+            totals += self._signed_totals(signs[start:stop], chunk_u)
         self._observe_kernel(start_time)
         return totals
 

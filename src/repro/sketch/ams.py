@@ -27,6 +27,7 @@ from repro.sketch.atomic import AtomicChannel, AtomicSketch, GeneratorChannel
 __all__ = [
     "SketchScheme",
     "SketchMatrix",
+    "plane_interval_totals",
     "recommended_grid",
 ]
 
@@ -117,6 +118,41 @@ class SketchScheme:
         return counter_plane(self)
 
 
+def plane_interval_totals(plane: Any, bounds: Any) -> np.ndarray | None:
+    """Unit-weight per-counter sums of one 1-D interval, or ``None``.
+
+    Dispatches on the plane's declared ``interval_kind`` -- the piece
+    shape its ``interval_totals`` consumes -- so any registered scheme's
+    kernel participates without this module knowing it.  ``None`` (no
+    plane, no interval kernel, or bounds the scalar path owns) means the
+    caller sums the channels' own range-sums instead.
+    """
+    from repro.core.dyadic import dyadic_cover_arrays, quaternary_cover_arrays
+
+    kind = getattr(plane, "interval_kind", None)
+    if kind is None:
+        return None
+    try:
+        alpha, beta = bounds
+    except (TypeError, ValueError):
+        return None
+    if not isinstance(alpha, (int, np.integer)) or not isinstance(
+        beta, (np.integer, int)
+    ):
+        return None
+    if alpha < 0 or beta >= (1 << 63):
+        return None  # scalar path owns the error/exotic-domain cases
+    if kind == "quaternary":
+        cover = quaternary_cover_arrays([alpha], [beta])
+        return plane.interval_totals(cover.lows, cover.levels >> 1)
+    if kind == "binary":
+        cover = dyadic_cover_arrays([alpha], [beta])
+        return plane.interval_totals(cover.lows, cover.levels)
+    if kind == "endpoints":
+        return plane.interval_totals([alpha], [beta])
+    return None
+
+
 class SketchMatrix:
     """The grid of atomic counters summarizing one relation."""
 
@@ -126,6 +162,15 @@ class SketchMatrix:
             [AtomicSketch(channel) for channel in row]
             for row in scheme.channels
         ]
+
+    @classmethod
+    def from_values(cls, scheme: SketchScheme, values: Any) -> "SketchMatrix":
+        """A sketch of ``scheme`` holding a ``(medians, averages)`` grid."""
+        sketch = cls(scheme)
+        for cells_row, values_row in zip(sketch.cells, values):
+            for cell, value in zip(cells_row, values_row):
+                cell.value = float(value)
+        return sketch
 
     def update_point(self, item: Any, weight: float = 1.0) -> None:
         """Stream one point into every atomic counter.
@@ -154,48 +199,13 @@ class SketchMatrix:
         the per-cell loop: the plane returns exact integer range-sums,
         scaled by ``weight`` exactly once, like the scalar channels.
         """
-        totals = self._plane_interval_totals(bounds)
+        totals = plane_interval_totals(self.scheme.plane(), bounds)
         if totals is not None:
             self._add_scaled(totals, weight)
             return
         for row in self.cells:
             for cell in row:
                 cell.update_interval(bounds, weight)
-
-    def _plane_interval_totals(self, bounds: Any) -> np.ndarray | None:
-        """Unit-weight per-counter sums of one 1-D interval, or ``None``.
-
-        Dispatches on the plane's declared ``interval_kind`` -- the piece
-        shape its ``interval_totals`` consumes -- so any registered
-        scheme's kernel participates without this module knowing it.
-        """
-        from repro.core.dyadic import dyadic_cover_arrays, quaternary_cover_arrays
-
-        plane = self.scheme.plane()
-        if plane is None:
-            return None
-        kind = getattr(plane, "interval_kind", None)
-        if kind is None:
-            return None
-        try:
-            alpha, beta = bounds
-        except (TypeError, ValueError):
-            return None
-        if not isinstance(alpha, (int, np.integer)) or not isinstance(
-            beta, (np.integer, int)
-        ):
-            return None
-        if alpha < 0 or beta >= (1 << 63):
-            return None  # scalar path owns the error/exotic-domain cases
-        if kind == "quaternary":
-            cover = quaternary_cover_arrays([alpha], [beta])
-            return plane.interval_totals(cover.lows, cover.levels >> 1)
-        if kind == "binary":
-            cover = dyadic_cover_arrays([alpha], [beta])
-            return plane.interval_totals(cover.lows, cover.levels)
-        if kind == "endpoints":
-            return plane.interval_totals([alpha], [beta])
-        return None
 
     def _add_scaled(self, totals: np.ndarray, weight: float) -> None:
         position = 0

@@ -54,6 +54,7 @@ __all__ = [
     "bit_sums",
     "poly_sign_kernel",
     "pack_counter_bits",
+    "unpack_counter_bits",
     "packed_linear_parity",
     "unweighted_bit_sums",
     "weighted_bit_sums",
@@ -91,11 +92,23 @@ def pack_counter_bits(bits: np.ndarray) -> np.ndarray:
         raise ValueError("bits must be a 2-D (levels, counters) matrix")
     levels, counters = bits.shape
     words = (counters + 63) // 64
-    padded = np.zeros((levels, words * 64), dtype=np.uint64)
-    padded[:, :counters] = bits.astype(np.uint64)
-    shifts = np.arange(64, dtype=np.uint64)
-    lanes = padded.reshape(levels, words, 64) << shifts
-    return np.bitwise_or.reduce(lanes, axis=2)
+    octets = np.zeros((levels, words * 8), dtype=np.uint8)
+    octets[:, : (counters + 7) // 8] = np.packbits(
+        bits != 0, axis=1, bitorder="little"
+    )
+    return octets.view("<u8").astype(np.uint64)
+
+
+def unpack_counter_bits(packed: np.ndarray, counters: int) -> np.ndarray:
+    """Unpack ``(rows, words)`` packed words into ``(rows, counters)`` 0/1.
+
+    The inverse of :func:`pack_counter_bits` along the counter axis, with
+    the byte order spelled out: each word is read as little-endian bytes
+    and each byte least-significant bit first, so column ``c`` is bit
+    ``c & 63`` of word ``c >> 6`` on any host.
+    """
+    octets = np.ascontiguousarray(packed, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, bitorder="little")[..., :counters]
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +317,46 @@ def vertical_bit_counts(packed: np.ndarray) -> np.ndarray:
     return out
 
 
+#: ``0x01`` in every byte of a word: one counting lane per byte.
+_BYTE_LANES = np.uint64(0x0101010101010101)
+_LANE_SHIFTS = np.arange(8, dtype=np.uint64)[:, np.newaxis, np.newaxis]
+#: Most rows the byte-lane count takes: a byte lane holds counts up to 255.
+_LANE_ROWS = 255
+
+
+def lane_bit_counts(packed: np.ndarray) -> np.ndarray:
+    """Exact per-column popcounts of up to 255 rows by byte lanes.
+
+    ``(word >> k) & 0x0101..01`` leaves bit ``8b + k`` alone in byte
+    ``b``; adding up to 255 such words never carries out of a byte, so
+    one uint64 sum counts eight columns at once.  Eight shifts cover a
+    word, and the byte-lane sums unpack by a little-endian byte view.
+    Returns ``words * 64`` float64 counts (exact integers).
+    """
+    words = packed.shape[1]
+    # Shift outermost, so each pass runs over contiguous (rows, words).
+    lanes = packed[np.newaxis] >> _LANE_SHIFTS
+    lanes &= _BYTE_LANES
+    sums = np.add.reduce(lanes, axis=1, dtype=np.uint64)  # (shift, word)
+    octets = sums.astype("<u8").view(np.uint8).reshape(8, words, 8)
+    return octets.transpose(1, 2, 0).reshape(words * 64).astype(np.float64)
+
+
 def bit_sums(packed: np.ndarray, weights: Optional[np.ndarray]) -> np.ndarray:
     """``out[c] = sum_p w_p * bit_c(packed[p])`` over a packed batch.
 
     ``weights`` is a float64 batch vector, or ``None`` for an all-ones
-    batch (the common unweighted point path, which counts bits with
-    carry-save popcounts).  Returns ``words * 64`` float64 sums.
+    batch (the common unweighted point path, counted exactly: direct
+    unpacking up to 32 rows, byte lanes up to 255, then byte histograms
+    on one-word grids and a carry-save adder tree on wider ones).
+    Returns ``words * 64`` float64 sums.
     """
     if weights is not None:
         return weighted_bit_sums(packed, weights)
     if packed.shape[0] <= SMALL_BATCH:
         return small_batch_bit_sums(packed, None)
+    if packed.shape[0] <= _LANE_ROWS:
+        return lane_bit_counts(packed)
     if packed.shape[1] == 1:
         # Single-word grids: one byte histogram per shift already
         # beats the adder tree's per-level unpacking.

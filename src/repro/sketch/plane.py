@@ -47,7 +47,7 @@ multiplication rounding otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -91,10 +91,19 @@ class PackedPlane:
     * ``interval_kind`` -- the piece shape ``interval_totals`` consumes
       (``"quaternary"``, ``"binary"``, ``"endpoints"``), or ``None``
       when the plane only supports point batches.
+
+    Generator planes expose their sign pass as
+    ``point_signs(points) -> (batch, words)`` uint64: bit ``c`` of row
+    ``p`` is set exactly where ``xi_c(points[p]) = -1``.  It is the one
+    pass behind ``point_totals`` and the whole-grid sign source of the
+    dyadic hierarchy (:mod:`repro.query.hierarchy`); unpack it with
+    :func:`repro.sketch.kernels.unpack_counter_bits`.
     """
 
     plane_kind = "generator"
     interval_kind: str | None = None
+    #: The sign pass; declared here for type checkers, defined per plane.
+    point_signs: Callable[[Sequence[int] | np.ndarray], np.ndarray]
 
     def __init__(self, domain_bits: int, counters: int) -> None:
         if counters < 1:
@@ -168,6 +177,20 @@ class PackedPlane:
             base = float(u.sum())
         return base - 2.0 * bit_sums(acc, u)[: self.counters]
 
+    def _point_totals(
+        self,
+        points: Sequence[int] | np.ndarray,
+        weights: Sequence[float] | np.ndarray | None,
+    ) -> np.ndarray:
+        """``point_totals`` of the planes whose sign pass is one call."""
+        start = obs.monotonic()
+        signs = self.point_signs(points)
+        totals = self._signed_totals(
+            signs, self._weights_or_none(weights, signs.shape[0])
+        )
+        self._observe_kernel(start)
+        return totals
+
     def _observe_kernel(self, start: float) -> None:
         """Record one kernel pass in the kernel timing histogram."""
         obs.histogram("sketch.kernel.seconds").observe(obs.monotonic() - start)
@@ -207,18 +230,17 @@ class EH3Plane(PackedPlane):
         acc ^= (h.astype(np.uint64) * _ALL_ONES)[:, np.newaxis]
         return acc
 
+    def point_signs(self, points: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Packed ``(batch, words)`` sign bits of a point batch."""
+        return self._sign_bits(self._check_points(points))
+
     def point_totals(
         self,
         points: Sequence[int] | np.ndarray,
         weights: Sequence[float] | np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-counter ``sum_p w_p * xi_c(p)`` for a point batch."""
-        points = self._check_points(points)
-        u = self._weights_or_none(weights, points.size)
-        start = obs.monotonic()
-        totals = self._signed_totals(self._sign_bits(points), u)
-        self._observe_kernel(start)
-        return totals
+        return self._point_totals(points, weights)
 
     def interval_totals(
         self,
@@ -278,18 +300,17 @@ class BCH3Plane(PackedPlane):
         acc ^= self.s0_word[np.newaxis, :]
         return acc
 
+    def point_signs(self, points: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Packed ``(batch, words)`` sign bits of a point batch."""
+        return self._sign_bits(self._check_points(points))
+
     def point_totals(
         self,
         points: Sequence[int] | np.ndarray,
         weights: Sequence[float] | np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-counter ``sum_p w_p * xi_c(p)`` for a point batch."""
-        points = self._check_points(points)
-        u = self._weights_or_none(weights, points.size)
-        start = obs.monotonic()
-        totals = self._signed_totals(self._sign_bits(points), u)
-        self._observe_kernel(start)
-        return totals
+        return self._point_totals(points, weights)
 
     def interval_totals(
         self,
@@ -346,22 +367,21 @@ class BCH5Plane(PackedPlane):
         self._parity1 = parity_kernel(self.s1_table)
         self._parity3 = parity_kernel(self.s3_table)
 
+    def point_signs(self, points: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Packed ``(batch, words)`` sign bits of a point batch."""
+        points = self._check_points(points)
+        acc = self._parity1(points)
+        acc ^= self._parity3(self._representative.cubes(points))
+        acc ^= self.s0_word[np.newaxis, :]
+        return acc
+
     def point_totals(
         self,
         points: Sequence[int] | np.ndarray,
         weights: Sequence[float] | np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-counter ``sum_p w_p * xi_c(p)`` for a point batch."""
-        points = self._check_points(points)
-        u = self._weights_or_none(weights, points.size)
-        cubes = self._representative.cubes(points)
-        start = obs.monotonic()
-        acc = self._parity1(points)
-        acc ^= self._parity3(cubes)
-        acc ^= self.s0_word[np.newaxis, :]
-        totals = self._signed_totals(acc, u)
-        self._observe_kernel(start)
-        return totals
+        return self._point_totals(points, weights)
 
 
 class DMAPPlane:

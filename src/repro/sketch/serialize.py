@@ -253,8 +253,4 @@ def sketch_from_dict(
             "sketch counter checksum mismatch: the values were corrupted "
             "in transit or at rest"
         )
-    sketch = SketchMatrix(scheme)
-    for cells_row, values_row in zip(sketch.cells, grid):
-        for cell, value in zip(cells_row, values_row):
-            cell.value = float(value)
-    return sketch
+    return SketchMatrix.from_values(scheme, grid)

@@ -19,11 +19,12 @@ faults``), and directly via :func:`run_fault_suite`.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import shutil
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,32 +92,45 @@ def breaking_plane(
     processor: StreamProcessor,
     relation: str,
     fail_after: int = 0,
-    method: str = "point_totals",
+    method: str | Sequence[str] = "point_totals",
 ) -> Iterator[None]:
     """Make a relation's plane kernel raise :class:`InjectedFault`.
 
-    The first ``fail_after`` calls succeed, then every call raises --
-    modelling a kernel that dies mid-stream.  Restores the plane on exit.
+    ``method`` names one plane entry point or several, which then share
+    one call count.  ``point_signs`` is the sign pass under
+    ``point_totals`` and under every hierarchy write and descent, so
+    breaking it reaches the hierarchy too.  The first ``fail_after``
+    calls succeed, then every call raises -- modelling a kernel that dies
+    mid-stream.  Restores the plane on exit.
     """
     plane = counter_plane(processor.scheme_of(relation))
     if plane is None:
         raise ValueError(f"relation {relation!r} has no packed plane to break")
-    original = getattr(plane, method)
+    names = (method,) if isinstance(method, str) else tuple(dict.fromkeys(method))
+    originals = {name: getattr(plane, name) for name in names}
+    # Names the plane instance held itself (e.g. a kernel closure) are
+    # put back; names it got from its class are deleted again.
+    owned = {name for name in names if name in vars(plane)}
     calls = {"n": 0}
 
-    def broken(*args, **kwargs):
+    def broken(name: str, *args: Any, **kwargs: Any) -> Any:
         calls["n"] += 1
         if calls["n"] > fail_after:
             raise InjectedFault(
-                f"injected {method} failure on call {calls['n']}"
+                f"injected {name} failure on call {calls['n']}"
             )
-        return original(*args, **kwargs)
+        return originals[name](*args, **kwargs)
 
-    setattr(plane, method, broken)
+    for name in names:
+        setattr(plane, name, functools.partial(broken, name))
     try:
         yield
     finally:
-        setattr(plane, method, original)
+        for name in names:
+            if name in owned:
+                setattr(plane, name, originals[name])
+            else:
+                delattr(plane, name)
 
 
 # -- the scenario suite --------------------------------------------------

@@ -436,7 +436,7 @@ class StreamProcessor:
         elif kind == "register_hierarchy":
             self._do_register_hierarchy(op["relation"])
         elif kind == "point":
-            applied = self._guarded_update(
+            self._guarded_update(
                 op["relation"],
                 "point",
                 1,
@@ -445,17 +445,10 @@ class StreamProcessor:
                     s, op["item"], op["weight"]
                 ),
                 payload=(op["item"], op["weight"]),
+                mirror=("update_point", op["item"], op["weight"]),
             )
-            if applied:
-                self._hierarchy_apply(
-                    op["relation"],
-                    fast=lambda h: h.update_point(op["item"], op["weight"]),
-                    scalar=lambda h: h.scalar_update_point(
-                        op["item"], op["weight"]
-                    ),
-                )
         elif kind == "interval":
-            applied = self._guarded_update(
+            self._guarded_update(
                 op["relation"],
                 "interval",
                 1,
@@ -466,17 +459,8 @@ class StreamProcessor:
                     s, op["low"], op["high"], op["weight"]
                 ),
                 payload=(op["low"], op["high"], op["weight"]),
+                mirror=("update_interval", op["low"], op["high"], op["weight"]),
             )
-            if applied:
-                self._hierarchy_apply(
-                    op["relation"],
-                    fast=lambda h: h.update_interval(
-                        op["low"], op["high"], op["weight"]
-                    ),
-                    scalar=lambda h: h.scalar_update_interval(
-                        op["low"], op["high"], op["weight"]
-                    ),
-                )
         elif kind == "points":
             items = np.asarray(op["items"], dtype=np.uint64)
             weights = (
@@ -484,20 +468,15 @@ class StreamProcessor:
                 if op["weights"] is None
                 else np.asarray(op["weights"], dtype=np.float64)
             )
-            applied = self._guarded_update(
+            self._guarded_update(
                 op["relation"],
                 "points",
                 int(items.size),
                 fast=lambda s: s.update_points(items, weights),
                 scalar=lambda s: self._scalar_points(s, items, weights),
                 payload={"items": op["items"], "weights": op["weights"]},
+                mirror=("update_points", items, weights),
             )
-            if applied:
-                self._hierarchy_apply(
-                    op["relation"],
-                    fast=lambda h: h.update_points(items, weights),
-                    scalar=lambda h: h.scalar_update_points(items, weights),
-                )
         elif kind == "intervals":
             intervals = np.asarray(op["intervals"], dtype=np.uint64).reshape(
                 -1, 2
@@ -507,22 +486,15 @@ class StreamProcessor:
                 if op["weights"] is None
                 else np.asarray(op["weights"], dtype=np.float64)
             )
-            applied = self._guarded_update(
+            self._guarded_update(
                 op["relation"],
                 "intervals",
                 int(intervals.shape[0]),
                 fast=lambda s: s.update_intervals(intervals, weights),
                 scalar=lambda s: self._scalar_intervals(s, intervals, weights),
                 payload={"intervals": op["intervals"], "weights": op["weights"]},
+                mirror=("update_intervals", intervals, weights),
             )
-            if applied:
-                self._hierarchy_apply(
-                    op["relation"],
-                    fast=lambda h: h.update_intervals(intervals, weights),
-                    scalar=lambda h: h.scalar_update_intervals(
-                        intervals, weights
-                    ),
-                )
         elif kind == "merge":
             self._do_merge(
                 op["relation"], op["values"], op.get("fingerprint")
@@ -540,7 +512,8 @@ class StreamProcessor:
         fast: Callable[[SketchMatrix], None],
         scalar: Callable[[SketchMatrix], None],
         payload: Any,
-    ) -> bool:
+        mirror: tuple[Any, ...],
+    ) -> None:
         """Run the fast path; on failure roll back and degrade to scalar.
 
         The plane kernels compute per-counter totals before touching any
@@ -551,18 +524,21 @@ class StreamProcessor:
         ``raise`` policy and quarantined otherwise: no exception escapes
         the ingestion path under ``quarantine``/``clamp``.
 
-        Returns whether the update reached the counters (on some path),
-        so dependent state -- a registered hierarchy -- only sees records
-        the base sketch admitted.
+        An update that reached the counters (on some path) is then
+        mirrored into the relation's hierarchy, if any -- ``mirror`` is
+        the :meth:`_hierarchy_apply` method name and arguments -- so
+        dependent state only sees records the base sketch admitted.
         """
         sketch = self._sketches[relation]
         saved = [cell.value for row in sketch.cells for cell in row]
         try:
             fast(sketch)
-            return True
         except Exception as exc:  # noqa: BLE001 -- degradation boundary
             self._restore_values(sketch, saved)
             first_error = exc
+        else:
+            self._hierarchy_apply(relation, *mirror)
+            return
         try:
             scalar(sketch)
         except Exception as exc:  # noqa: BLE001 -- both paths down
@@ -583,42 +559,36 @@ class StreamProcessor:
                     f"both fast and scalar paths failed: {exc!r}",
                 )
             )
-            return False
+            return
         self.incidents.append(
             Incident(operation, relation, repr(first_error), batch_size, True)
         )
         obs.counter("stream.degrade.incidents_total").inc()
         obs.counter("stream.degrade.degradations_total").inc()
-        return True
+        self._hierarchy_apply(relation, *mirror)
 
-    def _hierarchy_apply(
-        self,
-        relation: str,
-        fast: Callable[[DyadicHierarchy], None],
-        scalar: Callable[[DyadicHierarchy], None],
-    ) -> None:
+    def _hierarchy_apply(self, relation: str, update: str, *args: Any) -> None:
         """Mirror an admitted update into the relation's hierarchy.
 
-        Same degradation contract as :meth:`_guarded_update`: the
-        hierarchy shares the relation's scheme (and so its packed
-        plane), so a broken plane rolls the level sketches back and
-        retries on the per-cell scalar path, keeping hierarchy answers
-        consistent with the base sketch instead of failing the stream.
+        Same degradation contract as :meth:`_guarded_update`, without a
+        snapshot: the hierarchy shares the relation's scheme (and so its
+        packed plane), and its ``update`` forms every level's totals
+        before one array add commits them, so a broken plane has changed
+        nothing when the ``use_plane=False`` retry (signs from the
+        channels' generators) runs.  Hierarchy answers stay consistent
+        with the base sketch instead of failing the stream.
         """
         hierarchy = self._hierarchies.get(relation)
         if hierarchy is None:
             return
-        saved = hierarchy.counters_state()
         try:
-            fast(hierarchy)
+            getattr(hierarchy, update)(*args)
             return
         except Exception as exc:  # noqa: BLE001 -- degradation boundary
-            hierarchy.restore_counters(saved)
             first_error = exc
         try:
-            scalar(hierarchy)
+            getattr(hierarchy, update)(*args, use_plane=False)
         except Exception as exc:  # noqa: BLE001 -- both paths down
-            hierarchy.restore_counters(saved)
             self.incidents.append(
                 Incident("hierarchy", relation, repr(exc), 1, False)
             )
@@ -728,8 +698,8 @@ class StreamProcessor:
 
         Enables :meth:`heavy_hitters` and :meth:`quantile` (and the
         corresponding typed queries through :meth:`query`).  The
-        hierarchy keeps one extra sketch per dyadic level, **sharing the
-        relation's scheme** (same seeds), and is updated continuously by
+        hierarchy keeps one extra counter grid per dyadic level, **sharing
+        the relation's scheme** (same seeds), and is updated continuously by
         every subsequent point/interval record.  Updates streamed before
         registration are not back-filled -- register the hierarchy right
         after the relation.  Remote sketches folded in with
@@ -933,10 +903,7 @@ class StreamProcessor:
                 "counters; refusing to apply",
                 "non-finite-counter",
             )
-        incoming = SketchMatrix(scheme)
-        for cells_row, values_row in zip(incoming.cells, grid):
-            for cell, value in zip(cells_row, values_row):
-                cell.value = float(value)
+        incoming = SketchMatrix.from_values(scheme, grid)
         self._sketches[relation] = self._sketches[relation].combined(incoming)
 
     # -- answers ---------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.sketch.kernels import (
     packed_linear_parity,
     parity_kernel,
     poly_sign_kernel,
+    unpack_counter_bits,
     unweighted_bit_sums,
     weighted_bit_sums,
 )
@@ -118,7 +119,10 @@ class TestParityKernel:
 @pytest.mark.parametrize(
     "counters", GRID_COUNTERS.values(), ids=GRID_COUNTERS.keys()
 )
-@pytest.mark.parametrize("rows", [0, SMALL_BATCH, SMALL_BATCH + 1, 500])
+# 33-255 unweighted rows take the byte-lane count, 256 the next path.
+@pytest.mark.parametrize(
+    "rows", [0, SMALL_BATCH, SMALL_BATCH + 1, 255, 256, 500]
+)
 class TestBitSums:
     def _unpacked(self, packed):
         shifts = np.arange(64, dtype=np.uint64)
@@ -150,6 +154,12 @@ class TestBitSums:
         assert np.array_equal(
             bit_sums(packed, np.ones(rows)), bit_sums(packed, None)
         )
+
+    def test_unpack_inverts_pack(self, counters, rows, rng):
+        bits = rng.integers(0, 2, size=(rows, counters))
+        unpacked = unpack_counter_bits(pack_counter_bits(bits), counters)
+        assert unpacked.shape == (rows, counters)
+        assert np.array_equal(unpacked, bits)
 
 
 class TestPolySignKernel:
@@ -203,6 +213,27 @@ class TestPlaneIdentity:
         assert np.array_equal(
             got_ones,
             _scalar_point_values(scheme, points, np.ones(points.size)),
+        )
+
+    def test_point_signs_match_generators(self, scheme_name, grid, rng):
+        scheme = _scheme(
+            scheme_name, medians=2, averages=GRID_COUNTERS[grid] // 2
+        )
+        plane = counter_plane(scheme)
+        points = _adversarial_points(plane.domain_bits, 50, rng)
+        signs = plane.point_signs(points)
+        assert signs.shape == (points.size, plane.words)
+        bits = unpack_counter_bits(signs, plane.counters)
+        expected = np.array(
+            [
+                channel.generator.values(points)
+                for row in scheme.channels
+                for channel in row
+            ]
+        ).T
+        assert np.array_equal(1 - 2 * bits.astype(np.int64), expected)
+        assert np.array_equal(
+            plane.point_totals(points), points.size - 2.0 * bits.sum(axis=0)
         )
 
     def test_empty_batch_is_zero(self, scheme_name, grid):

@@ -261,6 +261,47 @@ class TestProcessorDurability:
         assert recovered.answer(handles["join"]) == before["join"]
         assert recovered.answer(handles["self_join"]) == before["self"]
 
+    def test_hierarchy_levels_recover_bit_identical(self, tmp_path):
+        directory = str(tmp_path / "state")
+        with StreamProcessor(
+            medians=3, averages=8, seed=11, durability=directory
+        ) as processor:
+            processor.register_relation("r", 10)
+            processor.register_hierarchy("r")
+            processor.process_points("r", list(range(0, 1024, 7)))
+            processor.process_intervals("r", [[0, 100], [256, 900]], [1.0, 3.0])
+            processor.checkpoint()
+            # Past the checkpoint: replayed from the WAL on recovery.
+            processor.process_points("r", [3, 3, 700], [2.0, -1.0, 5.0])
+            processor.process_point("r", 5, -1.0)
+            processor.process_interval("r", 10, 500, 2.0)
+            processor.process_interval("r", 20, 30, -1.0)
+            live = processor.hierarchy_of("r")
+            levels = [live.sketch_at(l).values() for l in range(live.levels)]
+        recovered = StreamProcessor.recover(directory).hierarchy_of("r")
+        assert recovered.levels == len(levels)
+        for level, values in enumerate(levels):
+            assert np.array_equal(recovered.sketch_at(level).values(), values)
+        assert any(values.any() for values in levels)
+
+    def test_corrupted_hierarchy_snapshot_is_refused(self, tmp_path):
+        directory = str(tmp_path / "state")
+        with StreamProcessor(
+            medians=2, averages=4, seed=7, durability=directory
+        ) as processor:
+            processor.register_relation("r", 8)
+            processor.register_hierarchy("r")
+            processor.process_points("r", [1, 2, 3])
+            processor.checkpoint()
+        seq, state, _ = load_latest_snapshot(directory)
+        levels = len(state["hierarchies"]["r"])
+        state["hierarchies"]["r"] = [[[5.0]]] * levels
+        for path in list_snapshots(directory):
+            os.remove(path)
+        write_snapshot(directory, seq, state)
+        with pytest.raises(RecoveryError, match="hierarchy counters"):
+            StreamProcessor.recover(directory)
+
     def test_recover_without_any_checkpoint(self, tmp_path):
         directory = str(tmp_path / "state")
         with StreamProcessor(

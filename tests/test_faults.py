@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.sketch.plane import counter_plane
 from repro.stream import DurabilityConfig, StreamProcessor
 from repro.stream.faults import (
     _reference_counters,
@@ -129,6 +130,93 @@ class TestDegradationGuarantees:
         assert [i.operation for i in degraded.incidents] == [
             "points", "intervals",
         ]
+
+    def _hierarchy_twins(self):
+        healthy = self._processor()
+        broken = self._processor()
+        for processor in (healthy, broken):
+            processor.register_hierarchy("r")
+            processor.process_points("r", np.arange(0, 4096, 61, dtype=np.uint64))
+        return healthy, broken
+
+    @staticmethod
+    def _levels(processor):
+        return np.array(processor.hierarchy_of("r").counters_state())
+
+    def test_hierarchy_retry_matches_healthy_twin(self):
+        """The plane dies after the base write: one scalar retry of the
+        hierarchy, counters equal to a healthy twin's."""
+        healthy, broken = self._hierarchy_twins()
+        items = np.arange(7, 4096, 97, dtype=np.uint64)
+        weights = np.arange(items.size, dtype=np.float64) - 9.0
+        healthy.process_points("r", items, weights)
+        # Call 1 is the base sketch's sign pass; call 2 the hierarchy's.
+        with breaking_plane(broken, "r", fail_after=1, method="point_signs"):
+            broken.process_points("r", items, weights)
+        assert np.array_equal(self._levels(broken), self._levels(healthy))
+        assert np.array_equal(
+            broken.sketch_of("r").values(), healthy.sketch_of("r").values()
+        )
+        [incident] = broken.incidents
+        assert (incident.operation, incident.relation, incident.recovered) == (
+            "hierarchy", "r", True,
+        )
+        assert "point_signs" in incident.error
+
+    @pytest.mark.parametrize(
+        "feed",
+        [
+            # Call 1 is the base sketch's sign pass; 20k points sign
+            # three levels per hierarchy pass, so hierarchy pass 3 fails.
+            lambda p: p.process_points(
+                "r", np.arange(20_000, dtype=np.uint64) % 4096
+            ),
+            # Call 1 is the base sketch's interval kernel; the hierarchy
+            # then calls it once per block run, edge blocks included, so
+            # call 4 (level 1's tail edge block) fails.
+            lambda p: p.process_interval("r", 5, 3000, 2.0),
+        ],
+        ids=["tall-points", "interval"],
+    )
+    def test_hierarchy_fast_path_failing_partway_commits_nothing(self, feed):
+        healthy, broken = self._hierarchy_twins()
+        feed(healthy)
+        with breaking_plane(
+            broken, "r", fail_after=3, method=("point_signs", "interval_totals")
+        ):
+            feed(broken)
+        assert np.array_equal(self._levels(broken), self._levels(healthy))
+        assert [
+            (i.operation, i.relation, i.recovered) for i in broken.incidents
+        ] == [("hierarchy", "r", True)]
+
+    def test_descents_answer_through_a_broken_plane(self):
+        """Descents fall back to the generators' signs: same answers."""
+        processor, _ = self._hierarchy_twins()
+        processor.process_points("r", np.arange(40, dtype=np.uint64) % 5)
+        hierarchy = processor.hierarchy_of("r")
+        hitters = processor.heavy_hitters("r", 5.0)
+        median = processor.quantile("r", 0.5)
+        total = hierarchy.total()
+        assert hitters
+        with breaking_plane(processor, "r", fail_after=0, method="point_signs"):
+            assert processor.heavy_hitters("r", 5.0) == hitters
+            assert processor.quantile("r", 0.5) == median
+            assert hierarchy.total() == total
+        assert len(processor.incidents) == 0
+
+    def test_breaking_plane_restores_the_plane(self):
+        processor = self._processor()
+        plane = counter_plane(processor.scheme_of("r"))
+        kernel = plane._parity  # an instance attribute, unlike point_signs
+        with breaking_plane(
+            processor, "r", method=["_parity", "point_signs", "_parity"]
+        ):
+            pass
+        assert plane._parity is kernel
+        assert "point_signs" not in vars(plane)
+        processor.process_points("r", np.arange(64, dtype=np.uint64))
+        assert len(processor.incidents) == 0
 
     def test_raise_policy_still_degrades_silently(self):
         """Degradation is not a policy matter: fast-path failures fall

@@ -275,15 +275,17 @@ class TestPlanInterval:
 # The dyadic hierarchy: maintenance exactness and descent surfaces
 
 
-def _hierarchy(bits: int = 6, averages: int = AVERAGES) -> DyadicHierarchy:
-    spec = get_spec("eh3")
-    scheme = SketchScheme.from_generators(
+def _hierarchy(
+    bits: int = 6, averages: int = AVERAGES, scheme: str = "eh3"
+) -> DyadicHierarchy:
+    spec = get_spec(scheme)
+    grid = SketchScheme.from_generators(
         lambda source: spec.factory(bits, source),
         MEDIANS,
         averages,
         SeedSource(0xFEED),
     )
-    return DyadicHierarchy(scheme, bits)
+    return DyadicHierarchy(grid, bits)
 
 
 class TestHierarchyMaintenance:
@@ -317,8 +319,8 @@ class TestHierarchyMaintenance:
         scalar = _hierarchy()
         fast.update_points([1, 17, 33])
         fast.update_interval(8, 23)
-        scalar.scalar_update_points([1, 17, 33])
-        scalar.scalar_update_interval(8, 23)
+        scalar.update_points([1, 17, 33], use_plane=False)
+        scalar.update_interval(8, 23, use_plane=False)
         for level in range(fast.levels):
             np.testing.assert_array_equal(
                 fast.sketch_at(level).values(),
@@ -352,6 +354,59 @@ class TestHierarchyMaintenance:
             )
         with pytest.raises(ValueError, match="levels"):
             restored.restore_counters([[[0.0]]])
+
+    def test_restore_rejects_a_wrong_grid_shape(self):
+        hierarchy = _hierarchy()
+        hierarchy.update_points([2, 2, 50])
+        before = hierarchy.counters_state()
+        # Right level count, one cell per level: zip would have
+        # truncated this onto cell (0, 0) of every level.
+        with pytest.raises(ValueError, match="levels, medians, averages"):
+            hierarchy.restore_counters([[[5.0]]] * hierarchy.levels)
+        ragged = [level[:-1] for level in before]
+        with pytest.raises(ValueError):
+            hierarchy.restore_counters(ragged)
+        assert hierarchy.counters_state() == before
+
+    def test_restore_rejects_non_finite_counters(self):
+        hierarchy = _hierarchy()
+        state = hierarchy.counters_state()
+        state[3][1][2] = float("nan")
+        with pytest.raises(ValueError, match="non-finite"):
+            hierarchy.restore_counters(state)
+        state[3][1][2] = float("inf")
+        with pytest.raises(ValueError, match="non-finite"):
+            hierarchy.restore_counters(state)
+
+    @pytest.mark.parametrize("scheme", ["rm7", "toeplitz"])
+    def test_plane_less_schemes_sign_from_their_generators(self, scheme):
+        fast = _hierarchy(scheme=scheme)
+        scalar = _hierarchy(scheme=scheme)
+        assert fast.scheme.plane() is None
+        fast.update_points([1, 17, 33, 33], [1.0, 2.0, -1.0, 3.0])
+        fast.update_intervals([[8, 23], [0, 63]])
+        scalar.update_points([1, 17, 33, 33], [1.0, 2.0, -1.0, 3.0], use_plane=False)
+        scalar.update_intervals([[8, 23], [0, 63]], use_plane=False)
+        assert np.array_equal(
+            np.array(fast.counters_state()), np.array(scalar.counters_state())
+        )
+        blocks = [0, 1, 4, 7]
+        batched = fast.estimate_blocks(2, blocks)
+        for position, block in enumerate(blocks):
+            assert batched[position] == engine.point(fast.sketch_at(2), block).value
+
+    def test_rejects_non_generator_channels(self):
+        from repro.rangesum.dmap import DMAP
+        from repro.sketch.atomic import DMAPChannel
+
+        grid = SketchScheme.from_factory(
+            lambda source: DMAPChannel(DMAP.from_source(6, source)),
+            2,
+            2,
+            SeedSource(3),
+        )
+        with pytest.raises(TypeError, match="GeneratorChannel"):
+            DyadicHierarchy(grid, 6)
 
     def test_rejects_bad_construction_and_intervals(self):
         with pytest.raises(ValueError):
