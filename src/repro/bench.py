@@ -95,7 +95,7 @@ def run_bulk_bench(
     from repro.schemes import get_spec
     from repro.sketch import bulk
     from repro.sketch.ams import SketchScheme
-    from repro.sketch.atomic import GeneratorChannel
+    from repro.sketch.atomic import GeneratorChannel, points_total
     from repro.sketch.plane import plane_decision
 
     default = schemes is None
@@ -167,22 +167,23 @@ def run_bulk_bench(
         elif spec.interval_kind == "binary":
             binary_pieces = bulk.decompose_binary(interval_batch, weights)
 
+            def binary_total(channel):
+                # Mirrors the module's own per-channel fallback loop.
+                generator = channel.generator
+                alive = generator.alive_level_array()
+                values = generator.values(binary_pieces.lows)
+                scales = np.ldexp(
+                    alive[binary_pieces.levels], binary_pieces.levels
+                )
+                return float(
+                    np.dot(
+                        values.astype(np.float64) * scales,
+                        binary_pieces.weights,
+                    )
+                )
+
             def percell_binary(sketch):
-                # Mirrors the module's own per-cell fallback loop.
-                for row in sketch.cells:
-                    for cell in row:
-                        generator = cell.channel.generator
-                        alive = generator.alive_level_array()
-                        values = generator.values(binary_pieces.lows)
-                        scales = np.ldexp(
-                            alive[binary_pieces.levels], binary_pieces.levels
-                        )
-                        cell.value += float(
-                            np.dot(
-                                values.astype(np.float64) * scales,
-                                binary_pieces.weights,
-                            )
-                        )
+                sketch.table += sketch.scheme.channel_totals(binary_total)
 
             compare(
                 f"{scheme_name}_interval_batch",
@@ -200,9 +201,9 @@ def run_bulk_bench(
             not default or scheme_name == "eh3"
         ):
             def percell_points(sketch):
-                for row in sketch.cells:
-                    for cell in row:
-                        cell.update_points(point_batch)
+                sketch.table += sketch.scheme.channel_totals(
+                    lambda channel: points_total(channel, point_batch)
+                )
 
             compare(
                 f"{scheme_name}_point_batch",
@@ -231,8 +232,11 @@ def check_floors(report: dict) -> list[str]:
     the scalar path, any workload named in ``config.floors`` (written by
     :func:`run_bulk_bench`) whose speedup is below its floor, and any
     floored workload missing from the report -- a floor that silently
-    stops applying is itself a regression.  Returns human-readable
-    problem strings; empty means the report passes.
+    stops applying is itself a regression.  A ``query_engine`` section
+    (``bench --query-engine``) is held to bit-identity only: each of its
+    workloads must answer exactly as a probe sketch fed
+    ``update_interval`` does; its timing ratio is not gated.  Returns
+    human-readable problem strings; empty means the report passes.
     """
     problems: list[str] = []
     workloads = report.get("workloads", {})
@@ -241,6 +245,13 @@ def check_floors(report: dict) -> list[str]:
             problems.append(
                 f"{name}: plane counters are not bit-identical to the "
                 "scalar path"
+            )
+    engine = report.get("query_engine", {}).get("workloads", {})
+    for name, entry in engine.items():
+        if not entry.get("identical", False):
+            problems.append(
+                f"query_engine {name}: engine answers are not bit-identical "
+                "to the probe-sketch path"
             )
     for name, floor in report.get("config", {}).get("floors", {}).items():
         entry = workloads.get(name)

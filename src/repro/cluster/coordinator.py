@@ -571,7 +571,7 @@ class ClusterProcessor:
         if isinstance(query, RangeSumQuery):
             self._require(query.relation)
 
-            def build(scheme: Any) -> tuple[SketchMatrix, PlanStats]:
+            def build(scheme: Any) -> tuple[np.ndarray, PlanStats]:
                 plan = plan_for_scheme(scheme, query.low, query.high)
                 return query_engine.probe_for_plan(scheme, plan), plan.stats()
 
@@ -630,11 +630,11 @@ class ClusterProcessor:
             shards, coverage, degraded, factor = self._degradation(
                 left, right, f"{left_relation}|{right_relation}"
             )
-            estimate = query_engine.product(
-                _matrix_from(self._local.scheme_of(left_relation), left.values),
-                _matrix_from(
-                    self._local.scheme_of(right_relation), right.values
-                ),
+            scheme_of = self._local.scheme_of
+            if scheme_of(left_relation) is not scheme_of(right_relation):
+                raise ValueError("sketches must share a scheme to be multiplied")
+            estimate = query_engine.product_of_values(
+                [left.values, right.values],
                 kind=kind,
                 coverage=coverage,
                 degraded=degraded,
@@ -650,7 +650,7 @@ class ClusterProcessor:
     ) -> Estimate:
         """Data-times-probe estimate over one relation's merge.
 
-        ``build(scheme)`` returns the probe sketch and its plan stats.
+        ``build(scheme)`` returns the probe counters and its plan stats.
         """
         with obs.span("cluster.answer", left=relation, right=relation):
             obs.counter("cluster.answer.queries_total").inc()
@@ -660,9 +660,8 @@ class ClusterProcessor:
             )
             scheme = self._local.scheme_of(relation)
             probe, stats = build(scheme)
-            estimate = query_engine.product(
-                _matrix_from(scheme, merged.values),
-                probe,
+            estimate = query_engine.product_of_values(
+                [merged.values, probe],
                 kind=kind,
                 plan=stats,
                 coverage=coverage,
@@ -675,7 +674,9 @@ class ClusterProcessor:
         """The merged cluster sketch of one relation (live + cached)."""
         self._require(relation)
         merged = self._merged(relation)
-        return _matrix_from(self._local.scheme_of(relation), merged.values)
+        return SketchMatrix.from_values(
+            self._local.scheme_of(relation), merged.values
+        )
 
     def _merged(self, relation: str) -> "_MergeResult":
         """Sum per-shard counters: fresh where possible, cached where not."""
@@ -1144,12 +1145,3 @@ class _MergeResult:
     stale: int
     coverage: float
     max_behind: int
-
-
-def _matrix_from(scheme: Any, values: np.ndarray) -> SketchMatrix:
-    """A sketch on ``scheme`` holding ``values`` (for estimation)."""
-    matrix = SketchMatrix(scheme)
-    for cells_row, values_row in zip(matrix.cells, values):
-        for cell, value in zip(cells_row, values_row):
-            cell.value = float(value)
-    return matrix

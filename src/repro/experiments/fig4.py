@@ -21,7 +21,7 @@ from repro.generators import SeedSource
 from repro.rangesum.multidim import ProductDMAP, ProductGenerator
 from repro.schemes import channel_kind
 from repro.query import engine as query_engine
-from repro.sketch.ams import SketchScheme
+from repro.sketch.ams import SketchMatrix, SketchScheme
 from repro.sketch.atomic import ProductChannel, ProductDMAPChannel
 from repro.sketch.bulk import (
     product_bulk_point_update,
@@ -63,17 +63,19 @@ def _region_sketches(scheme: SketchScheme, rects) -> list:
     :meth:`ProductDMAP.rect_contributions`) instead of decomposing every
     rectangle once per cell.
     """
-    sketches = [scheme.sketch() for _ in rects]
-    grids = [[cell for row in sketch.cells for cell in row] for sketch in sketches]
-    channels = [channel for row in scheme.channels for channel in row]
-    for position, channel in enumerate(channels):
+
+    def rect_totals(channel):
         if channel_kind(channel) == "product":
-            values = channel.generator.rect_sums(rects)
-        else:
-            values = channel.dmap.rect_contributions(rects)
-        for sketch_index, value in enumerate(values):
-            grids[sketch_index][position].value = float(value)
-    return sketches
+            return channel.generator.rect_sums(rects)
+        return channel.dmap.rect_contributions(rects)
+
+    grids = np.array(
+        [[rect_totals(channel) for channel in row] for row in scheme.channels],
+        dtype=np.float64,
+    )
+    return [
+        SketchMatrix.from_values(scheme, grids[:, :, k]) for k in range(len(rects))
+    ]
 
 
 def selectivity_errors(

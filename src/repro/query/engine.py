@@ -8,9 +8,11 @@ reduces the per-cell product grid with
 
 Range queries are planned once (:func:`repro.query.plan.plan_for_scheme`)
 and the plan's piece arrays are fed straight into the scheme's packed
-kernel to build the probe sketch -- bit-identical to
+kernel.  A probe is a plain ``(medians, averages)`` totals array, not a
+sketch -- bit-identical to a probe sketch fed
 ``SketchMatrix.update_interval``, which dispatches through the very same
-cover construction.
+cover construction -- and the estimate multiplies it with the data
+counters.
 
 :func:`execute` is the typed entry point.  Local execution resolves
 relation names through a mapping of sketches; :class:`StreamProcessor`
@@ -127,16 +129,14 @@ def product(
     """
     if x.scheme is not y.scheme:
         raise ValueError("sketches must share a scheme to be multiplied")
-    obs.counter("query.execute.total").inc()
-    obs.counter(_kind_counter(kind)).inc()
-    with obs.span("query.execute", kind=kind), obs.span(_kind_span(kind)):
-        return estimate_from_products(
-            x.values() * y.values(),
-            plan=plan,
-            coverage=coverage,
-            degraded=degraded,
-            error_width_factor=error_width_factor,
-        )
+    return product_of_values(
+        [x.values(), y.values()],
+        kind=kind,
+        plan=plan,
+        coverage=coverage,
+        degraded=degraded,
+        error_width_factor=error_width_factor,
+    )
 
 
 def join_size(x: SketchMatrix, y: SketchMatrix) -> Estimate:
@@ -155,29 +155,30 @@ def self_join(x: SketchMatrix) -> Estimate:
     return product(x, x, kind="f2")
 
 
-def point_probe(scheme: SketchScheme, item: Any) -> SketchMatrix:
-    """A probe sketch holding one unit point."""
-    probe = scheme.sketch()
-    probe.update_point(item)
-    return probe
+def _fresh_probe(totals: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """A zero sketch's counters plus one ``weight * totals`` commit."""
+    return 0.0 + weight * totals
+
+
+def point_probe(scheme: SketchScheme, item: Any) -> np.ndarray:
+    """The ``(medians, averages)`` probe counters of one unit point."""
+    return _fresh_probe(scheme.point_totals(item))
 
 
 def probe_for_plan(
     scheme: SketchScheme, plan: LevelPlan, weight: float = 1.0
-) -> SketchMatrix:
-    """Materialize a plan as a probe sketch, reusing its piece arrays.
+) -> np.ndarray:
+    """A plan's ``(medians, averages)`` probe counters, from its piece arrays.
 
     For planned kinds the cover computed by the planner is handed to the
     packed kernel directly (no re-decomposition); the result is
-    bit-identical to ``SketchMatrix.update_interval`` on the same bounds,
-    which builds the identical cover internally.  ``scalar`` plans fall
-    back to the channels' own range-sum machinery.
+    bit-identical to a probe sketch fed ``update_interval`` on the same
+    bounds, which builds the identical cover internally.  ``scalar``
+    plans fall back to the channels' own range-sum machinery.
     """
-    probe = scheme.sketch()
     plane = scheme.plane()
     if plan.kind == "scalar" or plane is None:
-        probe.update_interval((plan.alpha, plan.beta), weight)
-        return probe
+        return _fresh_probe(scheme.interval_totals((plan.alpha, plan.beta)), weight)
     if plan.kind == "quaternary":
         lows, levels = plan.arrays()
         totals = plane.interval_totals(lows, levels >> 1)
@@ -188,15 +189,13 @@ def probe_for_plan(
         totals = plane.interval_totals([plan.alpha], [plan.beta])
     else:
         raise ValueError(f"unknown plan kind {plan.kind!r}")
-    probe._add_scaled(totals, weight)  # the engine is the blessed caller
-    return probe
+    return _fresh_probe(totals.reshape(scheme.medians, scheme.averages), weight)
 
 
 def point(data: SketchMatrix, item: Any) -> Estimate:
     """Estimated frequency of ``item`` in the sketched relation."""
-    return product(
-        data,
-        point_probe(data.scheme, item),
+    return product_of_values(
+        [data.values(), point_probe(data.scheme, item)],
         kind="point",
         plan=PlanStats(kind="point", pieces=1, max_level=0),
     )
@@ -206,7 +205,9 @@ def range_sum(data: SketchMatrix, low: Any, high: Any) -> Estimate:
     """Estimated total frequency over the inclusive ``[low, high]``."""
     plan = plan_for_scheme(data.scheme, low, high)
     probe = probe_for_plan(data.scheme, plan)
-    return product(data, probe, kind="range_sum", plan=plan.stats())
+    return product_of_values(
+        [data.values(), probe], kind="range_sum", plan=plan.stats()
+    )
 
 
 def execute(query: Query, target: Any) -> Any:

@@ -38,7 +38,7 @@ import numpy as np
 from repro import obs
 from repro.query.estimate import estimate_from_products, predicted_relative_error
 from repro.query.types import Estimate, HeavyHitter, PlanStats
-from repro.sketch.ams import SketchMatrix, SketchScheme, plane_interval_totals
+from repro.sketch.ams import SketchMatrix, SketchScheme
 from repro.sketch.kernels import bit_sums, pack_counter_bits, unpack_counter_bits
 
 __all__ = ["DyadicHierarchy"]
@@ -129,7 +129,7 @@ class DyadicHierarchy:
         self,
         intervals: Sequence[Sequence[int]] | np.ndarray,
         weights: Sequence[float] | np.ndarray | None,
-        plane: Any,
+        use_plane: bool,
     ) -> np.ndarray:
         """Every level's totals of an interval batch, shaped like the table.
 
@@ -140,13 +140,8 @@ class DyadicHierarchy:
         for position, (low, high) in enumerate(intervals):
             scale = 1.0 if weights is None else float(weights[position])
             for level, first, last, w in self._interval_ops(low, high, scale):
-                unit = plane_interval_totals(plane, (first, last))
-                if unit is None:
-                    unit = np.array(
-                        [[c.interval((first, last)) for c in row] for row in self.scheme.channels],
-                        dtype=np.float64,
-                    )
-                totals[level] += w * unit.reshape(totals.shape[1:])
+                unit = self.scheme.interval_totals((first, last), use_plane=use_plane)
+                totals[level] += w * unit
         return totals
 
     # -- updates ---------------------------------------------------------
@@ -227,8 +222,7 @@ class DyadicHierarchy:
         use_plane: bool = True,
     ) -> None:
         """Add a batch of inclusive intervals, committed at once."""
-        plane = self.scheme.plane() if use_plane else None
-        self._table += self._interval_totals(intervals, weights, plane)
+        self._table += self._interval_totals(intervals, weights, use_plane)
         obs.counter("query.hierarchy.updates_total").inc(len(intervals))
 
     # -- block estimation ------------------------------------------------

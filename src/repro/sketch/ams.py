@@ -15,14 +15,19 @@ of ``X_R * X_S``.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.generators.base import Generator
 from repro.generators.seeds import SeedSource
-from repro.sketch.atomic import AtomicChannel, AtomicSketch, GeneratorChannel
+from repro.sketch.atomic import (
+    AtomicChannel,
+    AtomicSketch,
+    GeneratorChannel,
+    points_total,
+)
 
 __all__ = [
     "SketchScheme",
@@ -117,6 +122,33 @@ class SketchScheme:
 
         return counter_plane(self)
 
+    def channel_totals(
+        self, contribution: Callable[[AtomicChannel], Any]
+    ) -> np.ndarray:
+        """``contribution(channel)`` of every channel as a float64 grid."""
+        return np.array(
+            [[contribution(channel) for channel in row] for row in self.channels],
+            dtype=np.float64,
+        )
+
+    def point_totals(self, item: Any, *, use_plane: bool = True) -> np.ndarray:
+        """Unit-weight ``(medians, averages)`` contributions of one point."""
+        if use_plane and isinstance(item, (int, np.integer)):
+            plane = self.plane()
+            if plane is not None:
+                totals = plane.point_totals(np.asarray([item]))
+                return totals.reshape(self.medians, self.averages)
+        return self.channel_totals(lambda channel: channel.point(item))
+
+    def interval_totals(
+        self, bounds: Any, *, use_plane: bool = True
+    ) -> np.ndarray:
+        """Unit-weight ``(medians, averages)`` sums of one interval/rectangle."""
+        totals = plane_interval_totals(self.plane(), bounds) if use_plane else None
+        if totals is not None:
+            return totals.reshape(self.medians, self.averages)
+        return self.channel_totals(lambda channel: channel.interval(bounds))
+
 
 def plane_interval_totals(plane: Any, bounds: Any) -> np.ndarray | None:
     """Unit-weight per-counter sums of one 1-D interval, or ``None``.
@@ -154,79 +186,90 @@ def plane_interval_totals(plane: Any, bounds: Any) -> np.ndarray | None:
 
 
 class SketchMatrix:
-    """The grid of atomic counters summarizing one relation."""
+    """The counters summarizing one relation: one ``(medians, averages)`` array.
+
+    Every write is compute-then-commit: the packed plane (or, for grids
+    it does not cover, and under ``use_plane=False``, the channels) forms
+    a totals grid and one ``+=`` commits it to :attr:`table`, so a write
+    that fails has changed nothing.  The add runs ``value + weight *
+    total`` per counter, the per-cell loop's IEEE operations in the same
+    order, so counters are bit-identical to :class:`AtomicSketch` updates.
+    """
 
     def __init__(self, scheme: SketchScheme) -> None:
         self.scheme = scheme
-        self.cells = [
-            [AtomicSketch(channel) for channel in row]
-            for row in scheme.channels
-        ]
+        self.table = np.zeros((scheme.medians, scheme.averages), dtype=np.float64)
 
     @classmethod
     def from_values(cls, scheme: SketchScheme, values: Any) -> "SketchMatrix":
-        """A sketch of ``scheme`` holding a ``(medians, averages)`` grid."""
+        """A sketch holding a copy of a grid of exactly ``(medians, averages)``."""
+        shape = (scheme.medians, scheme.averages)
+        grid = np.array(values, dtype=np.float64)  # ragged rows raise here
+        if grid.shape != shape:
+            raise ValueError(
+                f"counter grid has shape {grid.shape}; the scheme needs {shape}"
+            )
         sketch = cls(scheme)
-        for cells_row, values_row in zip(sketch.cells, values):
-            for cell, value in zip(cells_row, values_row):
-                cell.value = float(value)
+        sketch.table = grid
         return sketch
 
-    def update_point(self, item: Any, weight: float = 1.0) -> None:
-        """Stream one point into every atomic counter.
+    @property
+    def cells(self) -> list[list[AtomicSketch]]:
+        """Write-through views: ``cells[r][c].value`` is ``table[r, c]`` (tests only)."""
+        return [
+            [_CounterView(channel, self, (r, c)) for c, channel in enumerate(row)]
+            for r, row in enumerate(self.scheme.channels)
+        ]
 
-        When the scheme's packed plane covers the grid, all counters are
-        updated in one pass; the result is bit-for-bit what the per-cell
-        loop produces (the per-counter contribution is an exact integer,
-        scaled by ``weight`` exactly once either way).
+    def update_point(
+        self, item: Any, weight: float = 1.0, *, use_plane: bool = True
+    ) -> None:
+        """Stream one point into every counter (one plane pass when covered)."""
+        self._add_scaled(self.scheme.point_totals(item, use_plane=use_plane), weight)
+
+    def update_interval(
+        self, bounds: Any, weight: float = 1.0, *, use_plane: bool = True
+    ) -> None:
+        """Stream one interval/rectangle into every counter.
+
+        The fast path behind ``StreamProcessor.process_interval``: 1-D
+        intervals on plane-covered grids decompose once and update every
+        counter in one batched pass.
         """
-        if isinstance(item, (int, np.integer)):
-            plane = self.scheme.plane()
-            if plane is not None:
-                totals = plane.point_totals(np.asarray([item]))
-                self._add_scaled(totals, weight)
-                return
-        for row in self.cells:
-            for cell in row:
-                cell.update_point(item, weight)
-
-    def update_interval(self, bounds: Any, weight: float = 1.0) -> None:
-        """Stream one interval/rectangle into every atomic counter.
-
-        1-D intervals on plane-covered grids decompose once and update
-        every counter in one batched pass -- the fast path behind
-        ``StreamProcessor.process_interval``.  Bit-for-bit identical to
-        the per-cell loop: the plane returns exact integer range-sums,
-        scaled by ``weight`` exactly once, like the scalar channels.
-        """
-        totals = plane_interval_totals(self.scheme.plane(), bounds)
-        if totals is not None:
-            self._add_scaled(totals, weight)
-            return
-        for row in self.cells:
-            for cell in row:
-                cell.update_interval(bounds, weight)
+        totals = self.scheme.interval_totals(bounds, use_plane=use_plane)
+        self._add_scaled(totals, weight)
 
     def _add_scaled(self, totals: np.ndarray, weight: float) -> None:
-        position = 0
-        for row in self.cells:
-            for cell in row:
-                cell.value += weight * float(totals[position])
-                position += 1
+        """Commit ``weight * totals`` in one add."""
+        self.table += weight * totals
+
+    def _add_each(
+        self,
+        grids: Iterable[np.ndarray],
+        weights: Sequence[float] | np.ndarray | None,
+    ) -> None:
+        """Add one scaled grid per batch element in order, then commit once."""
+        staged = self.table.copy()
+        for position, grid in enumerate(grids):
+            scale = 1.0 if weights is None else float(weights[position])
+            staged += scale * grid
+        self.table[...] = staged
 
     def update_points(
         self,
         items: Any,
         weights: Sequence[float] | np.ndarray | None = None,
+        *,
+        use_plane: bool = True,
     ) -> None:
         """Stream a whole point batch into the grid in one plane pass.
 
-        Falls back to per-cell vectorized updates (and, for product
-        channels, a per-point loop) when no plane covers the grid.
+        Falls back to per-channel vectorized totals (and, for product
+        channels, per-point totals) when no plane covers the grid.
         Equivalent to ``update_point`` per item; exact for integer
         weights, within float64 rounding otherwise.
         """
-        plane = self.scheme.plane()
+        plane = self.scheme.plane() if use_plane else None
         if plane is not None:
             from repro.sketch.plane import add_totals
 
@@ -236,32 +279,39 @@ class SketchMatrix:
             ):
                 add_totals(self, plane.point_totals(items, weights))
             return
-        obs.counter("sketch.bulk.fallback_total").inc()
+        if use_plane:
+            obs.counter("sketch.bulk.fallback_total").inc()
         items = np.asarray(items)
         if items.ndim == 1:
-            for row in self.cells:
-                for cell in row:
-                    cell.update_points(items, weights)
+            self.table += self.scheme.channel_totals(
+                lambda channel: points_total(channel, items, weights)
+            )
             return
-        for position, item in enumerate(items):
-            scale = 1.0 if weights is None else float(weights[position])
-            self.update_point(tuple(int(x) for x in item), scale)
+        self._add_each(
+            (
+                self.scheme.point_totals(tuple(int(x) for x in item))
+                for item in items
+            ),
+            weights,
+        )
 
     def update_intervals(
         self,
         intervals: Any,
         weights: Sequence[float] | np.ndarray | None = None,
+        *,
+        use_plane: bool = True,
     ) -> None:
         """Stream a whole 1-D interval batch into the grid.
 
         One batched decomposition plus one plane pass for the entire
         ``intervals x counters`` workload; falls back to per-interval
-        updates otherwise.  Equivalent to ``update_interval`` per
+        totals otherwise.  Equivalent to ``update_interval`` per
         interval; exact for integer weights.
         """
         from repro.sketch.plane import add_totals
 
-        plane = self.scheme.plane()
+        plane = self.scheme.plane() if use_plane else None
         kind = getattr(plane, "interval_kind", None)
         if kind in ("quaternary", "binary"):
             from repro.sketch import bulk
@@ -281,16 +331,21 @@ class SketchMatrix:
                 self, plane.interval_totals(bounds[:, 0], bounds[:, 1], weights)
             )
             return
-        for position, bounds in enumerate(intervals):
-            scale = 1.0 if weights is None else float(weights[position])
-            self.update_interval(tuple(bounds), scale)
+        pairs = np.asarray(intervals).reshape(-1, 2).tolist()
+        self._add_each(
+            (
+                self.scheme.interval_totals((a, b), use_plane=use_plane)
+                for a, b in pairs
+            ),
+            weights,
+        )
 
     def update_frequency_vector(self, frequencies: np.ndarray) -> None:
         """Bulk-load a full 1-D frequency vector (experiment fast path).
 
         Equivalent to ``update_point(i, f_i)`` for every domain point but
-        computed as one dot product per generator cell; only available when
-        every channel is a plain :class:`GeneratorChannel`.
+        computed as one dot product per generator channel; only available
+        when every channel is a plain :class:`GeneratorChannel`.
         """
         from repro.schemes import channel_kind
 
@@ -298,32 +353,25 @@ class SketchMatrix:
         nonzero = np.flatnonzero(frequencies)
         indices = nonzero.astype(np.uint64)
         weights = frequencies[nonzero]
-        for row in self.cells:
-            for cell in row:
-                channel = cell.channel
-                if channel_kind(channel) != "generator":
-                    raise TypeError(
-                        "update_frequency_vector requires GeneratorChannel cells"
-                    )
-                values = channel.generator.values(indices).astype(np.float64)
-                cell.value += float(np.dot(values, weights))
+
+        def dot(channel: Any) -> float:
+            if channel_kind(channel) != "generator":
+                raise TypeError(
+                    "update_frequency_vector requires GeneratorChannel cells"
+                )
+            return points_total(channel, indices, weights)
+
+        self.table += self.scheme.channel_totals(dot)
 
     def values(self) -> np.ndarray:
-        """The counters as a ``(medians, averages)`` float array."""
-        return np.array(
-            [[cell.value for cell in row] for row in self.cells],
-            dtype=np.float64,
-        )
+        """A copy of the counters as a ``(medians, averages)`` float array."""
+        return self.table.copy()
 
     def combined(self, other: "SketchMatrix") -> "SketchMatrix":
         """Merge two sketches built under the same scheme (union of data)."""
         if self.scheme is not other.scheme:
             raise ValueError("can only combine sketches of the same scheme")
-        merged = SketchMatrix(self.scheme)
-        for m_row, a_row, b_row in zip(merged.cells, self.cells, other.cells):
-            for m, a, b in zip(m_row, a_row, b_row):
-                m.value = a.value + b.value
-        return merged
+        return SketchMatrix.from_values(self.scheme, self.table + other.table)
 
     def difference(self, other: "SketchMatrix") -> "SketchMatrix":
         """Sketch of the (signed) difference of the two sketched multisets.
@@ -334,8 +382,23 @@ class SketchMatrix:
         """
         if self.scheme is not other.scheme:
             raise ValueError("can only subtract sketches of the same scheme")
-        result = SketchMatrix(self.scheme)
-        for r_row, a_row, b_row in zip(result.cells, self.cells, other.cells):
-            for r, a, b in zip(r_row, a_row, b_row):
-                r.value = a.value - b.value
-        return result
+        return SketchMatrix.from_values(self.scheme, self.table - other.table)
+
+
+class _CounterView(AtomicSketch):
+    """One counter of a :class:`SketchMatrix`, read and written in its table."""
+
+    def __init__(
+        self, channel: AtomicChannel, sketch: SketchMatrix, index: tuple[int, int]
+    ) -> None:
+        self.channel = channel
+        self._sketch = sketch
+        self._index = index
+
+    @property
+    def value(self) -> float:
+        return float(self._sketch.table[self._index])
+
+    @value.setter
+    def value(self, value: float) -> None:
+        self._sketch.table[self._index] = value

@@ -42,6 +42,7 @@ __all__ = [
     "ProductChannel",
     "ProductDMAPChannel",
     "AtomicSketch",
+    "points_total",
 ]
 
 
@@ -132,6 +133,21 @@ class ProductDMAPChannel(AtomicChannel):
         return self.dmap.rect_contribution(bounds)
 
 
+def points_total(
+    channel: AtomicChannel,
+    items: np.ndarray,
+    weights: Sequence[float] | np.ndarray | None = None,
+) -> float:
+    """``sum_p w_p * channel.point(p)`` over a 1-D point batch."""
+    contributions = channel.points(items)
+    if weights is None:
+        return float(contributions.sum())
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != contributions.shape:
+        raise ValueError("weights must match items element-wise")
+    return float(np.dot(contributions, weights))
+
+
 class AtomicSketch:
     """One linear counter ``X = sum_i w_i * contribution(i)``.
 
@@ -158,14 +174,7 @@ class AtomicSketch:
         weights: Sequence[float] | np.ndarray | None = None,
     ) -> None:
         """Bulk point update (vectorized when the channel supports it)."""
-        contributions = self.channel.points(items)
-        if weights is None:
-            self.value += float(contributions.sum())
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != contributions.shape:
-                raise ValueError("weights must match items element-wise")
-            self.value += float(np.dot(contributions, weights))
+        self.value += points_total(self.channel, items, weights)
 
     def combined(self, other: "AtomicSketch") -> "AtomicSketch":
         """Merged sketch of the union of the two sketched multisets.

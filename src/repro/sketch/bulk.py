@@ -21,10 +21,11 @@ factorizations to keep everything in numpy:
 Since the structure-of-arrays planes of :mod:`repro.sketch.plane` pack all
 seeds of a grid into bit-sliced tables, the per-counter loop is gone too:
 each bulk function asks the scheme for its plane and updates the whole grid
-in one batched pass, falling back to the per-cell loop for grids the plane
-does not cover.  ``eh3_percell_interval_update`` preserves the per-cell
-loop explicitly -- it is the baseline the bulk benchmarks measure the plane
-against.
+in one batched pass, falling back to one vectorized pass per channel for
+grids the plane does not cover.  Either way the per-counter totals are
+committed to the sketch's counter array in one add.
+``eh3_percell_interval_update`` keeps the per-channel loop explicitly -- it
+is the baseline the bulk benchmarks measure the plane against.
 
 Every bulk function is equivalent to a loop of scalar channel updates (the
 test-suite asserts this) -- they are pure fast paths.
@@ -48,6 +49,7 @@ from repro.rangesum.batched import dmap_point_id_table
 from repro.rangesum.dmap import DyadicMapper
 from repro.schemes import UnsupportedSchemeError, channel_kind, spec_for
 from repro.sketch.ams import SketchMatrix
+from repro.sketch.atomic import points_total
 from repro.sketch.plane import add_totals, counter_plane
 
 __all__ = [
@@ -287,14 +289,13 @@ def eh3_percell_interval_update(
     whole-grid plane kernel.  Piece batches arrive deduplicated from
     :func:`decompose_quaternary`, so no per-call consolidation is needed.
     """
-    for row in sketch.cells:
-        for cell in row:
-            channel = cell.channel
-            _require_interval_kind(
-                channel, "quaternary", "eh3_bulk_interval_update"
-            )
-            sums = _eh3_piece_sums(channel.generator, pieces)
-            cell.value += float(np.dot(sums, pieces.weights))
+
+    def piece_total(channel: Any) -> float:
+        _require_interval_kind(channel, "quaternary", "eh3_bulk_interval_update")
+        sums = _eh3_piece_sums(channel.generator, pieces)
+        return float(np.dot(sums, pieces.weights))
+
+    sketch.table += sketch.scheme.channel_totals(piece_total)
 
 
 def eh3_bulk_interval_update(
@@ -350,17 +351,16 @@ def bch3_bulk_interval_update(
             )
         return
     obs.counter("sketch.bulk.fallback_total").inc()
-    for row in sketch.cells:
-        for cell in row:
-            channel = cell.channel
-            _require_interval_kind(
-                channel, "binary", "bch3_bulk_interval_update"
-            )
-            generator = channel.generator
-            alive = generator.alive_level_array()
-            values = generator.values(pieces.lows).astype(np.float64)
-            scales = np.ldexp(alive[pieces.levels], pieces.levels)
-            cell.value += float(np.dot(values * scales, pieces.weights))
+
+    def piece_total(channel: Any) -> float:
+        _require_interval_kind(channel, "binary", "bch3_bulk_interval_update")
+        generator = channel.generator
+        alive = generator.alive_level_array()
+        values = generator.values(pieces.lows).astype(np.float64)
+        scales = np.ldexp(alive[pieces.levels], pieces.levels)
+        return float(np.dot(values * scales, pieces.weights))
+
+    sketch.table += sketch.scheme.channel_totals(piece_total)
 
 
 def bulk_point_update(
@@ -383,16 +383,13 @@ def bulk_point_update(
             add_totals(sketch, plane.point_totals(items, weights))
         return
     obs.counter("sketch.bulk.fallback_total").inc()
-    for row in sketch.cells:
-        for cell in row:
-            channel = cell.channel
-            if channel_kind(channel) != "generator":
-                raise TypeError("bulk_point_update needs generator channels")
-            values = channel.generator.values(items).astype(np.float64)
-            if weights is None:
-                cell.value += float(values.sum())
-            else:
-                cell.value += float(np.dot(values, weights))
+
+    def point_total(channel: Any) -> float:
+        if channel_kind(channel) != "generator":
+            raise TypeError("bulk_point_update needs generator channels")
+        return points_total(channel, items, weights)
+
+    sketch.table += sketch.scheme.channel_totals(point_total)
 
 
 def dmap_ids_for_intervals(
@@ -454,14 +451,15 @@ def dmap_bulk_id_update(
             add_totals(sketch, plane.id_totals(ids, weights))
         return
     obs.counter("sketch.bulk.fallback_total").inc()
-    for row in sketch.cells:
-        for cell in row:
-            channel = cell.channel
-            if channel_kind(channel) != "dmap":
-                raise TypeError("dmap_bulk_id_update needs DMAP channels")
-            generator: Generator = channel.dmap.generator
-            values = generator.values(ids).astype(np.float64)
-            cell.value += float(np.dot(values, weights))
+
+    def id_total(channel: Any) -> float:
+        if channel_kind(channel) != "dmap":
+            raise TypeError("dmap_bulk_id_update needs DMAP channels")
+        generator: Generator = channel.dmap.generator
+        values = generator.values(ids).astype(np.float64)
+        return float(np.dot(values, weights))
+
+    sketch.table += sketch.scheme.channel_totals(id_total)
 
 
 def product_bulk_point_update(
@@ -480,23 +478,21 @@ def product_bulk_point_update(
     columns = [points[:, k].astype(np.uint64) for k in range(points.shape[1])]
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
-    for row in sketch.cells:
-        for cell in row:
-            channel = cell.channel
-            if channel_kind(channel) != "product":
-                raise TypeError(
-                    "product_bulk_point_update needs product channels"
-                )
-            factors = channel.generator.factors
-            if len(factors) != points.shape[1]:
-                raise ValueError("point dimensionality mismatch")
-            contribution = np.ones(len(points), dtype=np.float64)
-            for factor, column in zip(factors, columns):
-                contribution *= factor.values(column).astype(np.float64)
-            if weights is None:
-                cell.value += float(contribution.sum())
-            else:
-                cell.value += float(np.dot(contribution, weights))
+
+    def point_total(channel: Any) -> float:
+        if channel_kind(channel) != "product":
+            raise TypeError("product_bulk_point_update needs product channels")
+        factors = channel.generator.factors
+        if len(factors) != points.shape[1]:
+            raise ValueError("point dimensionality mismatch")
+        contribution = np.ones(len(points), dtype=np.float64)
+        for factor, column in zip(factors, columns):
+            contribution *= factor.values(column).astype(np.float64)
+        if weights is None:
+            return float(contribution.sum())
+        return float(np.dot(contribution, weights))
+
+    sketch.table += sketch.scheme.channel_totals(point_total)
 
 
 def _dmap_axis_contributions(
@@ -525,27 +521,23 @@ def product_dmap_bulk_point_update(
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
     id_tables: dict[tuple[int, int], np.ndarray] = {}
-    for row in sketch.cells:
-        for cell in row:
-            channel = cell.channel
-            if channel_kind(channel) != "product_dmap":
-                raise TypeError(
-                    "product_dmap_bulk_point_update needs product-DMAP channels"
-                )
-            dmaps = channel.dmap.dmaps
-            if len(dmaps) != points.shape[1]:
-                raise ValueError("point dimensionality mismatch")
-            contribution = np.ones(len(points), dtype=np.float64)
-            for axis, (dmap, column) in enumerate(zip(dmaps, columns)):
-                key = (axis, dmap.mapper.domain_bits)
-                table = id_tables.get(key)
-                if table is None:
-                    table = dmap_point_id_table(dmap.mapper, column)
-                    id_tables[key] = table
-                contribution *= _dmap_axis_contributions(
-                    dmap.generator, table
-                )
-            if weights is None:
-                cell.value += float(contribution.sum())
-            else:
-                cell.value += float(np.dot(contribution, weights))
+
+    def point_total(channel: Any) -> float:
+        if channel_kind(channel) != "product_dmap":
+            raise TypeError("product_dmap_bulk_point_update needs product-DMAP channels")
+        dmaps = channel.dmap.dmaps
+        if len(dmaps) != points.shape[1]:
+            raise ValueError("point dimensionality mismatch")
+        contribution = np.ones(len(points), dtype=np.float64)
+        for axis, (dmap, column) in enumerate(zip(dmaps, columns)):
+            key = (axis, dmap.mapper.domain_bits)
+            table = id_tables.get(key)
+            if table is None:
+                table = dmap_point_id_table(dmap.mapper, column)
+                id_tables[key] = table
+            contribution *= _dmap_axis_contributions(dmap.generator, table)
+        if weights is None:
+            return float(contribution.sum())
+        return float(np.dot(contribution, weights))
+
+    sketch.table += sketch.scheme.channel_totals(point_total)

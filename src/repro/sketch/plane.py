@@ -1,12 +1,11 @@
 """Structure-of-arrays counter planes: one pass updates a whole grid.
 
-The scalar sketch plane (:mod:`repro.sketch.ams`) stores a ``medians x
-averages`` grid of *objects*, each holding its own seed, and every update
-loops over the grid in Python.  The bulk helpers of
-:mod:`repro.sketch.bulk` vectorize over the *batch* but still loop over
-counters.  This module removes that loop too: all seeds of a grid are
-transposed into bit-sliced numpy tables, so one batch of points or dyadic
-pieces updates every counter in a handful of fused passes.
+A scheme (:mod:`repro.sketch.ams`) holds a ``medians x averages`` grid
+of channel *objects*, each with its own seed, and the scalar reference
+path loops over that grid in Python, one channel per counter.  This
+module removes that loop: all seeds of a grid are transposed into
+bit-sliced numpy tables, so one batch of points or dyadic pieces yields
+every counter's total in a handful of fused passes.
 
 Bit-sliced layout
 -----------------
@@ -602,13 +601,6 @@ def require_plane(scheme: "SketchScheme") -> Any:
 
 
 def add_totals(sketch: "SketchMatrix", totals: np.ndarray) -> None:
-    """Scatter per-counter totals back onto the grid, row-major."""
-    flat = totals.ravel()
-    obs.counter("sketch.plane.cells_updated_total").inc(int(flat.size))
-    position = 0
-    # The grid itself is tiny (medians x averages) and cells are Python objects.
-    # repro: allow[R006] scalar scatter over the small cell grid, not the batch
-    for row in sketch.cells:
-        for cell in row:
-            cell.value += float(flat[position])
-            position += 1
+    """Commit per-counter totals (row-major) to the sketch in one array add."""
+    obs.counter("sketch.plane.cells_updated_total").inc(int(np.size(totals)))
+    sketch.table += np.reshape(totals, sketch.table.shape)

@@ -190,7 +190,7 @@ def sketch_to_dict(
     values, so the receiver can verify provenance and integrity either
     way.
     """
-    values = [[cell.value for cell in row] for row in sketch.cells]
+    values = sketch.table.tolist()
     data: dict[str, Any] = {
         "kind": "sketch",
         "version": SERIALIZE_VERSION,
@@ -234,13 +234,9 @@ def sketch_from_dict(
                 "incomparable counters"
             )
     values = data["values"]
-    if len(values) != scheme.medians or any(
-        len(row) != scheme.averages for row in values
-    ):
-        raise ValueError("serialized values do not match the scheme shape")
-    grid = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(grid).all():
-        bad = int(np.count_nonzero(~np.isfinite(grid)))
+    sketch = SketchMatrix.from_values(scheme, values)  # rejects a wrong shape
+    if not np.isfinite(sketch.table).all():
+        bad = int(np.count_nonzero(~np.isfinite(sketch.table)))
         raise ValueError(
             f"serialized sketch contains {bad} non-finite counter value(s) "
             "(NaN/Inf); refusing to deserialize a corrupted sketch"
@@ -253,4 +249,4 @@ def sketch_from_dict(
             "sketch counter checksum mismatch: the values were corrupted "
             "in transit or at rest"
         )
-    return SketchMatrix.from_values(scheme, grid)
+    return sketch

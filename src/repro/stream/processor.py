@@ -441,8 +441,8 @@ class StreamProcessor:
                 "point",
                 1,
                 fast=lambda s: s.update_point(op["item"], op["weight"]),
-                scalar=lambda s: self._scalar_point(
-                    s, op["item"], op["weight"]
+                scalar=lambda s: s.update_point(
+                    op["item"], op["weight"], use_plane=False
                 ),
                 payload=(op["item"], op["weight"]),
                 mirror=("update_point", op["item"], op["weight"]),
@@ -455,8 +455,8 @@ class StreamProcessor:
                 fast=lambda s: s.update_interval(
                     (op["low"], op["high"]), op["weight"]
                 ),
-                scalar=lambda s: self._scalar_interval(
-                    s, op["low"], op["high"], op["weight"]
+                scalar=lambda s: s.update_interval(
+                    (op["low"], op["high"]), op["weight"], use_plane=False
                 ),
                 payload=(op["low"], op["high"], op["weight"]),
                 mirror=("update_interval", op["low"], op["high"], op["weight"]),
@@ -473,7 +473,7 @@ class StreamProcessor:
                 "points",
                 int(items.size),
                 fast=lambda s: s.update_points(items, weights),
-                scalar=lambda s: self._scalar_points(s, items, weights),
+                scalar=lambda s: s.update_points(items, weights, use_plane=False),
                 payload={"items": op["items"], "weights": op["weights"]},
                 mirror=("update_points", items, weights),
             )
@@ -491,7 +491,9 @@ class StreamProcessor:
                 "intervals",
                 int(intervals.shape[0]),
                 fast=lambda s: s.update_intervals(intervals, weights),
-                scalar=lambda s: self._scalar_intervals(s, intervals, weights),
+                scalar=lambda s: s.update_intervals(
+                    intervals, weights, use_plane=False
+                ),
                 payload={"intervals": op["intervals"], "weights": op["weights"]},
                 mirror=("update_intervals", intervals, weights),
             )
@@ -514,132 +516,81 @@ class StreamProcessor:
         payload: Any,
         mirror: tuple[Any, ...],
     ) -> None:
-        """Run the fast path; on failure roll back and degrade to scalar.
+        """Run the fast path; on failure degrade to the scalar path.
 
-        The plane kernels compute per-counter totals before touching any
-        cell, but a failure *during* the scatter would leave the grid
-        half-updated -- so the counter values are saved up front (a few
-        hundred floats) and restored before the scalar retry.  If the
-        scalar path fails too, the record is re-raised under the
+        If the scalar path fails too, the record is re-raised under the
         ``raise`` policy and quarantined otherwise: no exception escapes
         the ingestion path under ``quarantine``/``clamp``.
 
-        An update that reached the counters (on some path) is then
-        mirrored into the relation's hierarchy, if any -- ``mirror`` is
-        the :meth:`_hierarchy_apply` method name and arguments -- so
-        dependent state only sees records the base sketch admitted.
+        An update that reached the counters is then mirrored into the
+        relation's hierarchy, if any (``mirror``: the hierarchy's
+        ``update_*`` name and arguments), degrading the same way, so
+        dependent state sees exactly the records the base sketch admitted.
         """
         sketch = self._sketches[relation]
-        saved = [cell.value for row in sketch.cells for cell in row]
-        try:
-            fast(sketch)
-        except Exception as exc:  # noqa: BLE001 -- degradation boundary
-            self._restore_values(sketch, saved)
-            first_error = exc
-        else:
-            self._hierarchy_apply(relation, *mirror)
-            return
-        try:
-            scalar(sketch)
-        except Exception as exc:  # noqa: BLE001 -- both paths down
-            self._restore_values(sketch, saved)
-            self.incidents.append(
-                Incident(operation, relation, repr(exc), batch_size, False)
-            )
-            obs.counter("stream.degrade.incidents_total").inc()
-            obs.counter("stream.degrade.failures_total").inc()
-            if self.policy == "raise":
-                raise
+        failure = self._with_retry(
+            operation, relation, batch_size, lambda: fast(sketch), lambda: scalar(sketch)
+        )
+        if failure is not None:
             self.dead_letters.add(
                 QuarantinedRecord(
                     relation,
                     operation,
                     payload,
                     "apply-failed",
-                    f"both fast and scalar paths failed: {exc!r}",
+                    f"both fast and scalar paths failed: {failure!r}",
                 )
             )
             return
-        self.incidents.append(
-            Incident(operation, relation, repr(first_error), batch_size, True)
-        )
-        obs.counter("stream.degrade.incidents_total").inc()
-        obs.counter("stream.degrade.degradations_total").inc()
-        self._hierarchy_apply(relation, *mirror)
-
-    def _hierarchy_apply(self, relation: str, update: str, *args: Any) -> None:
-        """Mirror an admitted update into the relation's hierarchy.
-
-        Same degradation contract as :meth:`_guarded_update`, without a
-        snapshot: the hierarchy shares the relation's scheme (and so its
-        packed plane), and its ``update`` forms every level's totals
-        before one array add commits them, so a broken plane has changed
-        nothing when the ``use_plane=False`` retry (signs from the
-        channels' generators) runs.  Hierarchy answers stay consistent
-        with the base sketch instead of failing the stream.
-        """
         hierarchy = self._hierarchies.get(relation)
-        if hierarchy is None:
-            return
+        if hierarchy is not None:
+            update, *args = mirror
+            method = getattr(hierarchy, update)
+            self._with_retry(
+                "hierarchy",
+                relation,
+                1,
+                lambda: method(*args),
+                lambda: method(*args, use_plane=False),
+            )
+
+    def _with_retry(
+        self,
+        operation: str,
+        relation: str,
+        batch_size: int,
+        fast: Callable[[], None],
+        scalar: Callable[[], None],
+    ) -> Exception | None:
+        """Run ``fast``; if it raises, record an incident and run ``scalar``.
+
+        Sketches and hierarchies form every total before one array add
+        commits them, so a failed path has changed no counter and the
+        retry starts from the same state.  Returns the scalar path's
+        error when both paths fail (re-raised instead under the ``raise``
+        policy), ``None`` when the update landed.
+        """
         try:
-            getattr(hierarchy, update)(*args)
-            return
+            fast()
+            return None
         except Exception as exc:  # noqa: BLE001 -- degradation boundary
             first_error = exc
+        obs.counter("stream.degrade.incidents_total").inc()
         try:
-            getattr(hierarchy, update)(*args, use_plane=False)
+            scalar()
         except Exception as exc:  # noqa: BLE001 -- both paths down
             self.incidents.append(
-                Incident("hierarchy", relation, repr(exc), 1, False)
+                Incident(operation, relation, repr(exc), batch_size, False)
             )
-            obs.counter("stream.degrade.incidents_total").inc()
             obs.counter("stream.degrade.failures_total").inc()
             if self.policy == "raise":
                 raise
-            return
+            return exc
         self.incidents.append(
-            Incident("hierarchy", relation, repr(first_error), 1, True)
+            Incident(operation, relation, repr(first_error), batch_size, True)
         )
-        obs.counter("stream.degrade.incidents_total").inc()
         obs.counter("stream.degrade.degradations_total").inc()
-
-    @staticmethod
-    def _restore_values(sketch: SketchMatrix, saved: list[float]) -> None:
-        position = 0
-        for row in sketch.cells:
-            for cell in row:
-                cell.value = saved[position]
-                position += 1
-
-    @staticmethod
-    def _scalar_point(sketch: SketchMatrix, item: int, weight: float) -> None:
-        for row in sketch.cells:
-            for cell in row:
-                cell.update_point(item, weight)
-
-    @staticmethod
-    def _scalar_interval(
-        sketch: SketchMatrix, low: int, high: int, weight: float
-    ) -> None:
-        for row in sketch.cells:
-            for cell in row:
-                cell.update_interval((low, high), weight)
-
-    @staticmethod
-    def _scalar_points(sketch: SketchMatrix, items, weights) -> None:
-        items = np.asarray(items)
-        for row in sketch.cells:
-            for cell in row:
-                cell.update_points(items, weights)
-
-    @staticmethod
-    def _scalar_intervals(sketch: SketchMatrix, intervals, weights) -> None:
-        for position, bounds in enumerate(np.asarray(intervals).reshape(-1, 2)):
-            scale = 1.0 if weights is None else float(weights[position])
-            low, high = int(bounds[0]), int(bounds[1])
-            for row in sketch.cells:
-                for cell in row:
-                    cell.update_interval((low, high), scale)
+        return None
 
     # -- registration ----------------------------------------------------
 
@@ -896,14 +847,19 @@ class StreamProcessor:
                 "different scheme fingerprint; replaying it would corrupt "
                 "the sketch"
             )
-        grid = np.asarray(values, dtype=np.float64)
-        if not np.isfinite(grid).all():
+        try:
+            incoming = SketchMatrix.from_values(scheme, values)
+        except ValueError as exc:
+            raise InvalidUpdateError(
+                f"WAL merge record for {relation!r}: {exc}; refusing to apply",
+                "bad-shape",
+            ) from exc
+        if not np.isfinite(incoming.table).all():
             raise InvalidUpdateError(
                 f"WAL merge record for {relation!r} contains non-finite "
                 "counters; refusing to apply",
                 "non-finite-counter",
             )
-        incoming = SketchMatrix.from_values(scheme, grid)
         self._sketches[relation] = self._sketches[relation].combined(incoming)
 
     # -- answers ---------------------------------------------------------

@@ -7,11 +7,13 @@ import pytest
 
 from repro import query
 from repro.generators import EH3, SeedSource
+from repro.schemes import get_spec, registered_schemes
 from repro.sketch.ams import (
+    SketchMatrix,
     SketchScheme,
     recommended_grid,
 )
-from repro.sketch.atomic import GeneratorChannel
+from repro.sketch.atomic import AtomicSketch, GeneratorChannel
 
 
 def eh3_scheme(source: SeedSource, medians=3, averages=5, bits=10) -> SketchScheme:
@@ -113,6 +115,124 @@ class TestSketchMatrix:
             a.difference(b)
         with pytest.raises(ValueError):
             query.product(a, b)
+
+
+class TestFromValuesShape:
+    """A counter grid must be exactly ``(medians, averages)``."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[1.0, 2.0, 3.0, 4.0, 5.0]] * 2 + [[1.0, 2.0]],  # a short row
+            [[1.0, 2.0, 3.0, 4.0, 5.0]] * 2,  # a missing row
+            7.0,  # a scalar
+            [[1.0, 2.0, 3.0, 4.0, 5.0]],  # one row numpy would broadcast
+        ],
+        ids=["short-row", "missing-row", "scalar", "single-row"],
+    )
+    def test_wrong_shapes_rejected(self, source: SeedSource, values):
+        with pytest.raises(ValueError):
+            SketchMatrix.from_values(eh3_scheme(source), values)
+
+    def test_right_shape_copied(self, source: SeedSource):
+        grid = np.arange(15, dtype=np.float64).reshape(3, 5)
+        sketch = SketchMatrix.from_values(eh3_scheme(source), grid)
+        grid[0, 0] = 99.0
+        assert sketch.values()[0, 0] == 0.0
+
+
+def _reference_grid(scheme: SketchScheme) -> list[list[AtomicSketch]]:
+    return [[AtomicSketch(channel) for channel in row] for row in scheme.channels]
+
+
+def _reference_values(grid: list[list[AtomicSketch]]) -> np.ndarray:
+    return np.array([[cell.value for cell in row] for row in grid])
+
+
+def _feed(sketch: SketchMatrix, reference, rng, exact_points, exact_intervals):
+    """Random signed/fractional/zero-weight writes of every shape, on both.
+
+    A batch the plane covers sums in its own order and commits once, so
+    its weights are small dyadic fractions and the batches run first,
+    while every counter is still exact: any summation order then gives
+    the same bits.  Plane-less batches keep arbitrary weights, which pins
+    the fallbacks' per-element order.  Single writes come last with
+    arbitrary fractional weights: both sides run ``value + weight *
+    total`` per counter.
+    """
+    domain = 1 << 10
+
+    def weights(count, exact):
+        if exact:
+            return rng.integers(-12, 13, size=count) / 4.0
+        drawn = rng.normal(scale=3.0, size=count)
+        drawn[::4] = 0.0
+        return drawn
+
+    def interval():
+        low, high = sorted(int(x) for x in rng.integers(0, domain, size=2))
+        return low, high
+
+    items = rng.integers(0, domain, size=40, dtype=np.uint64)
+    batch_weights = weights(items.size, exact_points)
+    sketch.update_points(items, batch_weights)
+    for row in reference:
+        for cell in row:
+            cell.update_points(items, batch_weights)
+    intervals = [interval() for _ in range(8)]
+    batch_weights = weights(len(intervals), exact_intervals)
+    sketch.update_intervals(intervals, batch_weights)
+    for bounds, weight in zip(intervals, batch_weights):
+        for row in reference:
+            for cell in row:
+                cell.update_interval(bounds, float(weight))
+    for weight in weights(6, exact=False):
+        item = int(rng.integers(domain))
+        sketch.update_point(item, float(weight))
+        for row in reference:
+            for cell in row:
+                cell.update_point(item, float(weight))
+    for weight in weights(5, exact=False):
+        bounds = interval()
+        sketch.update_interval(bounds, float(weight))
+        for row in reference:
+            for cell in row:
+                cell.update_interval(bounds, float(weight))
+
+
+class TestArrayStoreMatchesScalarReference:
+    """Counters byte-equal to per-cell :class:`AtomicSketch` updates."""
+
+    @pytest.mark.parametrize("name", registered_schemes())
+    def test_every_write_shape(self, source: SeedSource, rng, name):
+        spec = get_spec(name)
+        scheme = SketchScheme.from_factory(
+            lambda src: GeneratorChannel(spec.factory(10, src)), 3, 5, source
+        )
+        plane = scheme.plane()
+        exact_points = plane is not None
+        exact_intervals = getattr(plane, "interval_kind", None) is not None
+        a, b = scheme.sketch(), scheme.sketch()
+        ref_a, ref_b = _reference_grid(scheme), _reference_grid(scheme)
+        _feed(a, ref_a, rng, exact_points, exact_intervals)
+        _feed(b, ref_b, rng, exact_points, exact_intervals)
+        assert a.values().tobytes() == _reference_values(ref_a).tobytes()
+        assert b.values().tobytes() == _reference_values(ref_b).tobytes()
+        union = [[x.combined(y) for x, y in zip(*rows)] for rows in zip(ref_a, ref_b)]
+        assert a.combined(b).values().tobytes() == _reference_values(union).tobytes()
+        minus = np.array(
+            [[x.value - y.value for x, y in zip(*rows)] for rows in zip(ref_a, ref_b)]
+        )
+        assert a.difference(b).values().tobytes() == minus.tobytes()
+
+    def test_cells_write_through(self, source: SeedSource):
+        sketch = eh3_scheme(source).sketch()
+        sketch.cells[1][2].value += 1.5
+        sketch.cells[1][2].update_point(9, 2.0)
+        expected = 1.5 + 2.0 * sketch.scheme.channels[1][2].point(9)
+        assert sketch.values()[1, 2] == expected
+        assert sketch.cells[1][2].value == expected
+        assert np.count_nonzero(sketch.values()) == 1
 
 
 class TestEstimateProduct:

@@ -218,6 +218,58 @@ class TestDegradationGuarantees:
         processor.process_points("r", np.arange(64, dtype=np.uint64))
         assert len(processor.incidents) == 0
 
+    @pytest.mark.parametrize("policy", ["quarantine", "raise"])
+    @pytest.mark.parametrize(
+        "operation, channel_method, fail_on",
+        [
+            # 3 x 16 counters: the scalar path dies on cell 20 of 48.
+            (lambda p: p.process_point("r", 77, 2.5), "point", 20),
+            (lambda p: p.process_interval("r", 5, 900, -1.5), "interval", 20),
+            (lambda p: p.process_points("r", np.arange(30, dtype=np.uint64)),
+             "points", 20),
+            # Three intervals: the scalar path dies inside the second.
+            (lambda p: p.process_intervals("r", [[0, 9], [40, 400], [7, 8]]),
+             "interval", 60),
+        ],
+        ids=["point", "interval", "points", "intervals"],
+    )
+    def test_failed_scalar_write_leaves_counters_untouched(
+        self, monkeypatch, policy, operation, channel_method, fail_on
+    ):
+        """The plane fails, then a channel of the scalar retry raises
+        partway through the grid: no counter may have moved."""
+        processor = self._processor(policy)
+        processor.process_points("r", np.arange(0, 4000, 37, dtype=np.uint64))
+        before = processor.sketch_of("r").values().tobytes()
+        calls = {"n": 0}
+
+        def failing_on_kth(original):
+            def method(*args):
+                calls["n"] += 1
+                if calls["n"] == fail_on:
+                    raise RuntimeError(f"channel failure on call {fail_on}")
+                return original(*args)
+
+            return method
+
+        for row in processor.scheme_of("r").channels:
+            for channel in row:
+                original = getattr(channel, channel_method)
+                monkeypatch.setattr(channel, channel_method, failing_on_kth(original))
+        with breaking_plane(
+            processor, "r", method=("point_totals", "interval_totals")
+        ):
+            if policy == "raise":
+                with pytest.raises(RuntimeError, match="channel failure"):
+                    operation(processor)
+            else:
+                operation(processor)
+        assert calls["n"] == fail_on
+        assert processor.sketch_of("r").values().tobytes() == before
+        [incident] = processor.incidents
+        assert not incident.recovered
+        assert len(processor.dead_letters) == (1 if policy == "quarantine" else 0)
+
     def test_raise_policy_still_degrades_silently(self):
         """Degradation is not a policy matter: fast-path failures fall
         back even under ``raise`` (only double failures propagate)."""

@@ -224,6 +224,27 @@ class TestTypedIngestionErrors:
         with pytest.raises(InvalidUpdateError, match="non-finite"):
             processor.merge_sketch("r", remote)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0]],  # a short row
+            [[1.0, 2.0, 3.0, 4.0]],  # a missing row, one numpy would broadcast
+            7.0,  # a scalar
+            [[1.0, 2.0]],  # one short row
+        ],
+        ids=["short-row", "missing-row", "scalar", "single-short-row"],
+    )
+    def test_merge_record_of_wrong_shape_rejected(self, values):
+        # The WAL-replay merge path: a record whose grid is not exactly
+        # (medians, averages) must fail typed, not load truncated.
+        processor = self._processor()
+        processor.process_point("r", 3)
+        before = processor.sketch_of("r").values()
+        with pytest.raises(InvalidUpdateError) as caught:
+            processor._do_merge("r", values)
+        assert caught.value.code == "bad-shape"
+        assert processor.sketch_of("r").values().tobytes() == before.tobytes()
+
     def test_typed_errors_still_value_errors(self):
         # Pre-taxonomy callers catch ValueError; that contract holds.
         processor = self._processor()
