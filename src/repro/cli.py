@@ -578,8 +578,7 @@ def main(argv: list[str] | None = None) -> int:
             for name, entry in engine_report["workloads"].items():
                 print(
                     f"query-engine {name}: ratio {entry['ratio']:.3f} "
-                    f"(target <= {engine_report['config']['target']}, "
-                    f"identical={entry['identical']})",
+                    f"(identical={entry['identical']})",
                     file=sys.stderr,
                 )
         _finish_trace()

@@ -17,6 +17,7 @@ produces such a cover by splitting odd-level pieces of the binary cover.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -161,27 +162,91 @@ class CoverArrays:
         return np.bincount(self.index, minlength=self.intervals)
 
 
-def _cover_endpoints(
-    alphas: Sequence[int] | np.ndarray, betas: Sequence[int] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+#: Most cells one cover grid holds.  A batch's grid has one row per
+#: interval and one slot per candidate piece (up to 192 for 63-bit
+#: quaternary covers); larger batches are covered a block of rows at a
+#: time, so a WAL replay or a huge user batch holds ~0.5 MB per grid
+#: array whatever its size (and smaller blocks stay in cache).
+COVER_CELLS = 1 << 16
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_layout(width: int, quaternary: bool) -> tuple[np.ndarray, ...]:
+    """Constants of a cover grid ``width`` levels wide.
+
+    A row lists every piece its interval may have, by ascending position:
+    left pieces ``[lo 2^j, (lo+1) 2^j)`` by ascending level ``j``, then
+    right pieces ``[(hi-1) 2^j, hi 2^j)`` by descending level.  In a
+    quaternary grid an odd-level piece takes two slots, its lower and
+    upper even-level children.  Returns the levels ``j`` and ``2^j - 1``,
+    then per slot: the column of ``[lo | hi]`` it reads, its ``j``, the
+    offset added to that bound ``<< j``, and the emitted piece's level.
+    """
+    shifts = np.arange(width, dtype=np.uint64)
+    level = np.concatenate((shifts, shifts[::-1]))
+    right = (np.arange(2 * width, dtype=np.int64) >= width).astype(np.uint64)
+    split = level & np.uint64(quaternary)
+    slot = np.repeat(np.arange(2 * width, dtype=np.int64), 1 + split.astype(np.int64))
+    upper = np.zeros(slot.size, dtype=np.uint64)
+    upper[1:] = slot[1:] == slot[:-1]
+    levels = (level - split)[slot]
+    # (hi - 1) << j = (hi << j) - 2^j, and an upper child sits 2^(j-1)
+    # past its parent; uint64 wraps, so the sum is exact.
+    adjust = (upper << levels) - (right[slot] << level[slot])
+    masks = (np.uint64(1) << shifts) - np.uint64(1)
+    source = (right * np.uint64(width) + level)[slot]
+    return shifts, masks, source, level[slot], adjust, levels.astype(np.int64)
+
+
+def _cover(
+    alphas: Sequence[int] | np.ndarray,
+    betas: Sequence[int] | np.ndarray,
+    quaternary: bool,
+) -> CoverArrays:
     alphas = np.asarray(alphas, dtype=np.uint64)
     betas = np.asarray(betas, dtype=np.uint64)
     if alphas.shape != betas.shape or alphas.ndim != 1:
         raise ValueError("alphas and betas must be matching 1-D arrays")
-    if alphas.size and bool(np.any(betas < alphas)):
+    count = len(alphas)
+    if count == 0:
+        empty_i = np.zeros(0, dtype=np.int64)
+        return CoverArrays(np.zeros(0, dtype=np.uint64), empty_i.copy(), empty_i, 0)
+    if bool(np.any(betas < alphas)):
         bad = int(np.argmax(betas < alphas))
         raise ValueError(
             f"empty interval [{int(alphas[bad])}, {int(betas[bad])}]"
         )
-    if alphas.size and int(betas.max()) >= (1 << 63):
-        # The vectorized walk shifts uint64 end-points level by level;
-        # 64-bit domains (a single piece of level 64) stay on the scalar
-        # path, which works over arbitrary Python ints.
+    top = int(betas.max())
+    if top >= (1 << 63):
+        # The grid forms alpha + (2^j - 1) and beta + 1 in uint64; 64-bit
+        # domains (a single piece of level 64) stay on the scalar path,
+        # which works over arbitrary Python ints.
         raise OverflowError(
             "dyadic_cover_arrays supports end-points below 2^63; use "
             "minimal_dyadic_cover for full 64-bit domains"
         )
-    return alphas, betas
+    # A level-j piece needs 2^j <= beta + 1, so levels 0..bit_length(beta)
+    # hold every piece of the batch.
+    width = top.bit_length() + 1
+    shifts, masks, source, level, adjust, levels = _grid_layout(width, quaternary)
+    one = np.uint64(1)
+    rows = max(1, COVER_CELLS // source.size)
+    parts = []
+    for first in range(0, count, rows):
+        a = alphas[first : first + rows, None]
+        b = betas[first : first + rows, None]
+        lo = (a + masks) >> shifts  # ceil(alpha / 2^j)
+        hi = (b + one) >> shifts  # floor((beta + 1) / 2^j)
+        ends = np.concatenate((lo, hi), axis=1)[:, source]
+        flat = np.flatnonzero((lo < hi)[:, level] & (ends & one).astype(bool))
+        row, slot = np.divmod(flat, source.size)
+        lows = (ends.reshape(-1)[flat] << level[slot]) + adjust[slot]
+        parts.append((lows, levels[slot], row + first))
+    if len(parts) == 1:
+        lows, piece_levels, index = parts[0]
+    else:
+        lows, piece_levels, index = (np.concatenate(part) for part in zip(*parts))
+    return CoverArrays(lows, piece_levels, index, count)
 
 
 def dyadic_cover_arrays(
@@ -189,55 +254,18 @@ def dyadic_cover_arrays(
 ) -> CoverArrays:
     """Minimal dyadic covers of a whole batch of inclusive intervals.
 
-    Vectorized over the batch: the classic bottom-up segment-tree walk
-    emits, per level ``j``, at most one left-aligned and one right-aligned
-    piece per interval, so the whole batch is covered in at most
-    ``max bit-length`` fused numpy passes -- no ``DyadicInterval`` objects,
-    no per-interval Python loop.  Piece-for-piece identical (including
-    order) to :func:`minimal_dyadic_cover` applied per interval.
+    The minimal cover has at most one left piece (where ``lo =
+    ceil(alpha / 2^j)`` is odd) and one right piece (where ``hi =
+    floor((beta + 1) / 2^j)`` is odd) per level ``j`` with ``lo < hi``.
+    Both bounds are formed for every level at once, as an ``(intervals,
+    2 * width)`` grid with right pieces' columns reversed, so one
+    ``flatnonzero`` lists the pieces grouped by interval in ascending
+    position: a fixed number of numpy passes per block of
+    :data:`COVER_CELLS` cells, no per-level or per-interval Python loop.
+    Piece-for-piece identical (including order) to
+    :func:`minimal_dyadic_cover` applied per interval.
     """
-    alphas, betas = _cover_endpoints(alphas, betas)
-    count = len(alphas)
-    if count == 0:
-        empty64 = np.zeros(0, dtype=np.uint64)
-        empty_i = np.zeros(0, dtype=np.int64)
-        return CoverArrays(empty64, empty_i.copy(), empty_i, 0)
-
-    one = np.uint64(1)
-    lows_parts: list[np.ndarray] = []
-    levels_parts: list[np.ndarray] = []
-    index_parts: list[np.ndarray] = []
-
-    def emit(mask: np.ndarray, lows: np.ndarray, level: int) -> None:
-        where = np.flatnonzero(mask)
-        if where.size:
-            lows_parts.append(lows[where])
-            levels_parts.append(np.full(where.size, level, dtype=np.int64))
-            index_parts.append(where.astype(np.int64))
-
-    # Level 0 avoids forming beta + 1 (which could overflow uint64).
-    emit((alphas & one).astype(bool), alphas, 0)
-    emit((~betas & one).astype(bool), betas, 0)
-
-    for level in range(1, 64):
-        j = np.uint64(level)
-        low_mask = (one << j) - one
-        # lo = ceil(alpha / 2^j), hi = floor((beta + 1) / 2^j), overflow-free.
-        lo = (alphas >> j) + ((alphas & low_mask) != 0)
-        hi = (betas >> j) + ((betas & low_mask) == low_mask)
-        active = lo < hi
-        if not bool(active.any()):
-            break
-        emit(active & ((lo & one) == one).astype(bool), lo << j, level)
-        right = active & ((hi & one) == one).astype(bool)
-        emit(right, (hi - one) << j, level)
-
-    lows = np.concatenate(lows_parts)
-    levels = np.concatenate(levels_parts)
-    index = np.concatenate(index_parts)
-    # Scalar covers run left to right within each interval.
-    order = np.lexsort((lows, index))
-    return CoverArrays(lows[order], levels[order], index[order], count)
+    return _cover(alphas, betas, quaternary=False)
 
 
 def quaternary_cover_arrays(
@@ -245,26 +273,13 @@ def quaternary_cover_arrays(
 ) -> CoverArrays:
     """Even-level (``4^j``-shaped) covers of a batch of intervals.
 
-    The batched counterpart of :func:`minimal_quaternary_cover`: odd-level
-    pieces of the binary cover are split into their two even-level
-    children, entirely with ``np.repeat`` -- order again matches the
-    scalar construction piece for piece.
+    The batched counterpart of :func:`minimal_quaternary_cover`, built in
+    the same grid pass as :func:`dyadic_cover_arrays`: every odd-level
+    column holds two slots, the piece's lower and upper even-level
+    children, so the split costs no extra pass and the order again
+    matches the scalar construction piece for piece.
     """
-    cover = dyadic_cover_arrays(alphas, betas)
-    odd = (cover.levels & 1).astype(bool)
-    if not bool(odd.any()):
-        return cover
-    repeats = np.where(odd, 2, 1)
-    levels = np.repeat(cover.levels - odd, repeats)
-    lows = np.repeat(cover.lows, repeats)
-    index = np.repeat(cover.index, repeats)
-    # Mark the second child of each split piece and advance its low end.
-    starts = np.cumsum(repeats, dtype=np.int64) - repeats
-    is_second = np.arange(len(lows), dtype=np.int64) - np.repeat(
-        starts, repeats
-    )
-    lows = lows + (is_second.astype(np.uint64) << levels.astype(np.uint64))
-    return CoverArrays(lows, levels, index, cover.intervals)
+    return _cover(alphas, betas, quaternary=True)
 
 
 def containing_intervals(point: int, n: int) -> list[DyadicInterval]:

@@ -179,16 +179,7 @@ def probe_for_plan(
     plane = scheme.plane()
     if plan.kind == "scalar" or plane is None:
         return _fresh_probe(scheme.interval_totals((plan.alpha, plan.beta)), weight)
-    if plan.kind == "quaternary":
-        lows, levels = plan.arrays()
-        totals = plane.interval_totals(lows, levels >> 1)
-    elif plan.kind == "binary":
-        lows, levels = plan.arrays()
-        totals = plane.interval_totals(lows, levels)
-    elif plan.kind == "endpoints":
-        totals = plane.interval_totals([plan.alpha], [plan.beta])
-    else:
-        raise ValueError(f"unknown plan kind {plan.kind!r}")
+    totals = plan.totals(plane)
     return _fresh_probe(totals.reshape(scheme.medians, scheme.averages), weight)
 
 

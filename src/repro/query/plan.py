@@ -3,8 +3,7 @@
 A :class:`LevelPlan` is the resolved decomposition of one inclusive
 interval ``[alpha, beta]`` into dyadic pieces, in the shape the target
 scheme's kernel consumes.  The planner dispatches on the scheme's
-declared ``interval_kind`` (via its packed plane, exactly like
-``repro.sketch.ams.plane_interval_totals``):
+declared ``interval_kind`` (via its packed plane):
 
 ``quaternary``
     EH3's Theorem-2 shape: even binary levels only
@@ -20,9 +19,11 @@ declared ``interval_kind`` (via its packed plane, exactly like
     end-points): execution falls back to the channels' own scalar
     ``range_sum`` machinery, which re-derives its cover internally.
 
-Plans are immutable and cheap; executors read their arrays straight into
-``plane.interval_totals`` so the cover is computed exactly once per
-query, never per cell.
+A cover is one grid pass of the batched cover functions, read out with
+one ``tolist`` per array.  :meth:`LevelPlan.totals` is the one
+kind-to-kernel dispatch, shared by query probes and by the write path
+(``repro.sketch.ams.plane_interval_totals``), so the cover is computed
+exactly once per query or write, never per cell.
 """
 
 from __future__ import annotations
@@ -87,13 +88,6 @@ class LevelPlan:
             kind=self.kind, pieces=self.pieces, max_level=self.max_level
         )
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Piece arrays in the dtypes ``plane.interval_totals`` consumes."""
-        return (
-            np.asarray(self.lows, dtype=np.uint64),
-            np.asarray(self.levels, dtype=np.int64),
-        )
-
     def intervals(self) -> list[DyadicInterval]:
         """The pieces as :class:`DyadicInterval` objects (dyadic plans)."""
         if self.kind not in ("quaternary", "binary"):
@@ -116,13 +110,28 @@ class LevelPlan:
             position = low + (1 << level)
         return position == self.beta + 1
 
+    def totals(self, plane: Any) -> np.ndarray:
+        """Unit-weight per-counter sums of the plan, from ``plane``'s kernel.
+
+        Quaternary kernels take ``4^j``-shaped half levels, binary ones
+        binary levels, endpoint kernels the raw bounds; ``scalar`` plans
+        have no kernel pieces and raise.
+        """
+        if self.kind == "endpoints":
+            return plane.interval_totals([self.alpha], [self.beta])
+        if self.kind not in ("quaternary", "binary"):
+            raise ValueError(f"{self.kind} plans have no kernel pieces")
+        levels = np.asarray(self.levels, dtype=np.int64)
+        if self.kind == "quaternary":
+            levels = levels >> 1
+        return plane.interval_totals(np.asarray(self.lows, dtype=np.uint64), levels)
+
 
 def scheme_interval_kind(scheme: "SketchScheme") -> str | None:
     """The decomposition family of a scheme's packed kernel, or ``None``.
 
-    Mirrors ``repro.sketch.ams.plane_interval_totals``: the plane's declared
-    ``interval_kind`` decides the piece shape; a scheme with no plane has
-    no batched decomposition capability.
+    The plane's declared ``interval_kind`` decides the piece shape; a
+    scheme with no plane has no batched decomposition capability.
     """
     plane = scheme.plane()
     if plane is None:
@@ -140,49 +149,38 @@ def _scalar_plan(alpha: Any, beta: Any) -> LevelPlan:
 def plan_interval(alpha: Any, beta: Any, kind: str | None) -> LevelPlan:
     """Resolve one inclusive interval against a decomposition ``kind``.
 
-    The same guards as the plane fast path apply: non-integer bounds,
-    negative ``alpha`` or ``beta >= 2^63`` yield a ``scalar`` plan (the
-    channels' own ``range_sum`` handles errors and exotic domains).
+    Non-integer bounds, negative ``alpha``, ``beta >= 2^63`` or no
+    ``kind`` yield a ``scalar`` plan (the channels' own ``range_sum``
+    handles errors and exotic domains).  Uncounted: writes plan their
+    intervals here too; :func:`plan_for_scheme` counts query plans.
     """
-    obs.counter("query.plan.plans_total").inc()
-    with obs.span("query.plan"):
-        if not isinstance(alpha, (int, np.integer)) or not isinstance(
-            beta, (np.integer, int)
-        ):
-            return _scalar_plan(alpha, beta)
-        alpha = int(alpha)
-        beta = int(beta)
-        if kind is None or alpha < 0 or beta >= _MAX_PLANNED:
-            return _scalar_plan(alpha, beta)
-        if kind == "endpoints":
-            plan = LevelPlan(
-                alpha=alpha,
-                beta=beta,
-                kind="endpoints",
-                lows=(alpha,),
-                levels=(0,),
-            )
-            obs.counter("query.plan.pieces_total").inc()
-            return plan
-        if kind == "quaternary":
-            cover = quaternary_cover_arrays([alpha], [beta])
-        elif kind == "binary":
-            cover = dyadic_cover_arrays([alpha], [beta])
-        else:
-            raise ValueError(f"unknown decomposition kind {kind!r}")
-        plan = LevelPlan(
-            alpha=alpha,
-            beta=beta,
-            kind=kind,
-            lows=tuple(int(low) for low in cover.lows),
-            levels=tuple(int(level) for level in cover.levels),
-        )
-        obs.counter("query.plan.pieces_total").inc(plan.pieces)
-        return plan
+    if not isinstance(alpha, (int, np.integer)) or not isinstance(
+        beta, (np.integer, int)
+    ):
+        return _scalar_plan(alpha, beta)
+    alpha = int(alpha)
+    beta = int(beta)
+    if kind is None or alpha < 0 or beta >= _MAX_PLANNED:
+        return _scalar_plan(alpha, beta)
+    if kind == "endpoints":
+        return LevelPlan(alpha, beta, "endpoints", (alpha,), (0,))
+    if kind == "quaternary":
+        cover = quaternary_cover_arrays([alpha], [beta])
+    elif kind == "binary":
+        cover = dyadic_cover_arrays([alpha], [beta])
+    else:
+        raise ValueError(f"unknown decomposition kind {kind!r}")
+    return LevelPlan(
+        alpha, beta, kind, tuple(cover.lows.tolist()), tuple(cover.levels.tolist())
+    )
 
 
 def plan_for_scheme(
     scheme: "SketchScheme", alpha: Any, beta: Any
 ) -> LevelPlan:
     """Plan ``[alpha, beta]`` in the shape ``scheme``'s kernel consumes."""
-    return plan_interval(alpha, beta, scheme_interval_kind(scheme))
+    obs.counter("query.plan.plans_total").inc()
+    with obs.span("query.plan"):
+        plan = plan_interval(alpha, beta, scheme_interval_kind(scheme))
+        obs.counter("query.plan.pieces_total").inc(plan.pieces)
+        return plan

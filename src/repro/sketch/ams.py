@@ -153,36 +153,22 @@ class SketchScheme:
 def plane_interval_totals(plane: Any, bounds: Any) -> np.ndarray | None:
     """Unit-weight per-counter sums of one 1-D interval, or ``None``.
 
-    Dispatches on the plane's declared ``interval_kind`` -- the piece
-    shape its ``interval_totals`` consumes -- so any registered scheme's
-    kernel participates without this module knowing it.  ``None`` (no
-    plane, no interval kernel, or bounds the scalar path owns) means the
-    caller sums the channels' own range-sums instead.
+    The interval is resolved against the plane's declared
+    ``interval_kind`` by the query planner and its pieces handed to the
+    kernel by :meth:`repro.query.plan.LevelPlan.totals`, so writes and
+    query probes share one set of guards and one kind-to-kernel dispatch.
+    ``None`` (no plane, no interval kernel, or bounds the scalar path
+    owns) means the caller sums the channels' own range-sums instead.
     """
-    from repro.core.dyadic import dyadic_cover_arrays, quaternary_cover_arrays
+    # Imported here: repro.query's engine imports this module.
+    from repro.query.plan import plan_interval
 
-    kind = getattr(plane, "interval_kind", None)
-    if kind is None:
-        return None
     try:
         alpha, beta = bounds
     except (TypeError, ValueError):
         return None
-    if not isinstance(alpha, (int, np.integer)) or not isinstance(
-        beta, (np.integer, int)
-    ):
-        return None
-    if alpha < 0 or beta >= (1 << 63):
-        return None  # scalar path owns the error/exotic-domain cases
-    if kind == "quaternary":
-        cover = quaternary_cover_arrays([alpha], [beta])
-        return plane.interval_totals(cover.lows, cover.levels >> 1)
-    if kind == "binary":
-        cover = dyadic_cover_arrays([alpha], [beta])
-        return plane.interval_totals(cover.lows, cover.levels)
-    if kind == "endpoints":
-        return plane.interval_totals([alpha], [beta])
-    return None
+    plan = plan_interval(alpha, beta, getattr(plane, "interval_kind", None))
+    return None if plan.kind == "scalar" else plan.totals(plane)
 
 
 class SketchMatrix:

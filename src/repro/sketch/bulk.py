@@ -39,6 +39,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.dyadic import (
+    CoverArrays,
     dyadic_cover_arrays,
     minimal_dyadic_cover,
     minimal_quaternary_cover,
@@ -115,6 +116,34 @@ def _interval_endpoints(
     return bounds[:, 0], bounds[:, 1]
 
 
+def _batch_cover(
+    intervals: Sequence[tuple[int, int]], quaternary: bool
+) -> CoverArrays:
+    """The batch's covers from the grid kernel, or per interval past 2^63.
+
+    End-points at or above 2^63 (or past uint64) take the scalar
+    constructions, which work over arbitrary Python ints.
+    """
+    try:
+        alphas, betas = _interval_endpoints(intervals)
+        if quaternary:
+            cover = quaternary_cover_arrays(alphas, betas)
+        else:
+            cover = dyadic_cover_arrays(alphas, betas)
+    except OverflowError:
+        scalar = minimal_quaternary_cover if quaternary else minimal_dyadic_cover
+        covers = [scalar(int(low), int(high)) for low, high in intervals]
+        cover = CoverArrays(
+            np.asarray([p.low for c in covers for p in c], dtype=np.uint64),
+            np.asarray([p.level for c in covers for p in c], dtype=np.int64),
+            np.repeat(np.arange(len(covers), dtype=np.int64), [len(c) for c in covers]),
+            len(covers),
+        )
+    obs.counter("sketch.bulk.covers_total").inc(len(intervals))
+    obs.counter("sketch.bulk.pieces_total").inc(int(cover.lows.size))
+    return cover
+
+
 def decompose_quaternary(
     intervals: Sequence[tuple[int, int]],
     weights: Sequence[float] | np.ndarray | None = None,
@@ -126,30 +155,7 @@ def decompose_quaternary(
     Duplicate pieces are merged here, once, so every downstream consumer
     (per-cell baseline, plane kernels) shares the work.
     """
-    try:
-        alphas, betas = _interval_endpoints(intervals)
-        cover = quaternary_cover_arrays(alphas, betas)
-    except OverflowError:
-        lows: list[int] = []
-        half_levels: list[int] = []
-        counts: list[int] = []
-        for low, high in intervals:
-            pieces = minimal_quaternary_cover(int(low), int(high))
-            counts.append(len(pieces))
-            for piece in pieces:
-                lows.append(piece.low)
-                half_levels.append(piece.level // 2)
-        obs.counter("sketch.bulk.covers_total").inc(len(intervals))
-        obs.counter("sketch.bulk.pieces_total").inc(len(lows))
-        return QuaternaryPieces(
-            *_consolidate_pieces(
-                np.asarray(lows, dtype=np.uint64),
-                np.asarray(half_levels, dtype=np.int64),
-                _piece_weights(weights, intervals, counts),
-            )
-        )
-    obs.counter("sketch.bulk.covers_total").inc(len(intervals))
-    obs.counter("sketch.bulk.pieces_total").inc(int(cover.lows.size))
+    cover = _batch_cover(intervals, quaternary=True)
     return QuaternaryPieces(
         *_consolidate_pieces(
             cover.lows,
@@ -169,30 +175,7 @@ def decompose_binary(
     the scalar route.  Duplicate pieces are merged here, once, so every
     downstream consumer shares the work.
     """
-    try:
-        alphas, betas = _interval_endpoints(intervals)
-        cover = dyadic_cover_arrays(alphas, betas)
-    except OverflowError:
-        lows: list[int] = []
-        levels: list[int] = []
-        counts: list[int] = []
-        for low, high in intervals:
-            pieces = minimal_dyadic_cover(int(low), int(high))
-            counts.append(len(pieces))
-            for piece in pieces:
-                lows.append(piece.low)
-                levels.append(piece.level)
-        obs.counter("sketch.bulk.covers_total").inc(len(intervals))
-        obs.counter("sketch.bulk.pieces_total").inc(len(lows))
-        return BinaryPieces(
-            *_consolidate_pieces(
-                np.asarray(lows, dtype=np.uint64),
-                np.asarray(levels, dtype=np.int64),
-                _piece_weights(weights, intervals, counts),
-            )
-        )
-    obs.counter("sketch.bulk.covers_total").inc(len(intervals))
-    obs.counter("sketch.bulk.pieces_total").inc(int(cover.lows.size))
+    cover = _batch_cover(intervals, quaternary=False)
     return BinaryPieces(
         *_consolidate_pieces(
             cover.lows,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.bench import check_floors
+from repro.bench import BULK_SPEEDUP_FLOORS, check_floors, run_bulk_bench
 
 
 def _report(**workloads):
@@ -63,3 +63,15 @@ class TestCheckFloors:
         assert len(problems) == 1
         assert "query_engine range_sum" in problems[0]
         assert "not bit-identical" in problems[0]
+
+
+class TestCoverLeg:
+    def test_cover_batch_is_identical_and_floored(self):
+        report = run_bulk_bench(
+            medians=2, averages=4, intervals=60, points=200, repeats=1
+        )
+        entry = report["workloads"]["quaternary_cover_batch"]
+        assert entry["identical"] is True
+        assert entry["speedup"] > 0.0
+        assert report["config"]["floors"] == BULK_SPEEDUP_FLOORS
+        assert "quaternary_cover_batch" in BULK_SPEEDUP_FLOORS

@@ -71,6 +71,30 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             decompose_binary([(0, 3)], weights=[1.0, 2.0])
 
+    @pytest.mark.parametrize("quaternary", [True, False], ids=["quaternary", "binary"])
+    def test_past_2_63_takes_the_scalar_covers(self, quaternary):
+        # The grid stops at 2^63; the whole batch then falls back to the
+        # scalar covers and must merge pieces exactly as the grid would.
+        from repro.core.dyadic import minimal_dyadic_cover, minimal_quaternary_cover
+
+        top = (1 << 64) - 1
+        batch = [(5, 100), (1 << 63, top), (7, 90), ((1 << 63) + 3, top)]
+        weights = [2.0, 3.0, 0.5, 4.0]
+        decompose, scalar = (
+            (decompose_quaternary, minimal_quaternary_cover)
+            if quaternary
+            else (decompose_binary, minimal_dyadic_cover)
+        )
+        expected: dict = {}
+        for (low, high), weight in zip(batch, weights):
+            for piece in scalar(low, high):
+                key = (piece.low, piece.level >> 1 if quaternary else piece.level)
+                expected[key] = expected.get(key, 0.0) + weight
+        pieces = decompose(batch, weights)
+        levels = pieces.half_levels if quaternary else pieces.levels
+        got = list(zip(pieces.lows.tolist(), levels.tolist(), pieces.weights.tolist()))
+        assert got == sorted((low, level, w) for (low, level), w in expected.items())
+
 
 class TestEH3Bulk:
     def test_matches_scalar_updates(self, source, intervals):

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import dyadic
 from repro.core.dyadic import (
     DyadicInterval,
     all_dyadic_intervals,
     containing_intervals,
+    dyadic_cover_arrays,
     interval_from_id,
     interval_id,
     minimal_dyadic_cover,
     minimal_quaternary_cover,
+    quaternary_cover_arrays,
     render_dyadic_tree,
 )
 
@@ -291,12 +295,16 @@ class TestCoverArrays:
         assert not any(level % 2 for level in cover.levels.tolist())
 
     def test_empty_batch(self):
-        from repro.core.dyadic import dyadic_cover_arrays
-
-        cover = dyadic_cover_arrays([], [])
-        assert cover.intervals == 0
-        assert cover.lows.size == 0
-        assert cover.counts().tolist() == []
+        for batched in (dyadic_cover_arrays, quaternary_cover_arrays):
+            cover = batched(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64))
+            assert cover.intervals == 0
+            assert cover.lows.size == 0
+            assert cover.counts().tolist() == []
+            assert (cover.lows.dtype, cover.levels.dtype, cover.index.dtype) == (
+                np.uint64,
+                np.int64,
+                np.int64,
+            )
 
     def test_full_domain_single_piece(self):
         from repro.core.dyadic import dyadic_cover_arrays
@@ -312,7 +320,88 @@ class TestCoverArrays:
             dyadic_cover_arrays([5], [4])
 
     def test_beyond_63_bits_overflows(self):
-        from repro.core.dyadic import dyadic_cover_arrays
+        for batched in (dyadic_cover_arrays, quaternary_cover_arrays):
+            with pytest.raises(OverflowError):
+                batched([0, 1], [5, 1 << 63])
 
-        with pytest.raises(OverflowError):
-            dyadic_cover_arrays([0], [1 << 63])
+
+TOP = (1 << 63) - 1  # largest end-point the grid covers
+
+
+def _assert_covers_match_scalar(alphas, betas) -> None:
+    """Both batched covers equal the scalar ones piece for piece.
+
+    Lows, levels and owners must agree in value and order, in the dtypes
+    the kernels consume (``uint64`` lows, ``int64`` levels and owners).
+    """
+    bounds = list(zip([int(a) for a in alphas], [int(b) for b in betas]))
+    for batched, scalar in (
+        (dyadic_cover_arrays, minimal_dyadic_cover),
+        (quaternary_cover_arrays, minimal_quaternary_cover),
+    ):
+        cover = batched(alphas, betas)
+        assert cover.lows.dtype == np.uint64
+        assert cover.levels.dtype == np.int64
+        assert cover.index.dtype == np.int64
+        assert cover.intervals == len(bounds)
+        expected = [
+            (owner, piece.low, piece.level)
+            for owner, (alpha, beta) in enumerate(bounds)
+            for piece in scalar(alpha, beta)
+        ]
+        got = list(
+            zip(cover.index.tolist(), cover.lows.tolist(), cover.levels.tolist())
+        )
+        assert got == expected, batched.__name__
+
+
+class TestCoverGrid:
+    """The one-pass grid cover against the scalar reference covers."""
+
+    def test_mixed_width_batch(self):
+        # The grid is as wide as the batch's largest end-point needs.
+        _assert_covers_match_scalar(
+            [6, 3, 12_345, 0, 7],
+            [6, (1 << 62) - 3, 12_345 + (1 << 40), 1, 7],
+        )
+
+    def test_domain_edges(self):
+        _assert_covers_match_scalar(
+            [0, 0, 1, TOP, TOP - 1, 0, 1 << 62],
+            [TOP, 0, TOP, TOP, TOP, TOP - 1, TOP],
+        )
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2, 5])
+    def test_power_of_two_ends(self, alpha):
+        betas = [b for k in range(3, 63) for b in ((1 << k) - 1, 1 << k)]
+        _assert_covers_match_scalar([alpha] * len(betas), betas)
+
+    def test_single_points(self):
+        points = [0, 1, 2, 3, 10, 11, 1 << 40, (1 << 40) + 1, TOP - 1, TOP]
+        _assert_covers_match_scalar(points, points)
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            list,
+            lambda values: np.asarray(values, dtype=np.int64),
+            lambda values: np.asarray(values, dtype=np.uint64),
+        ],
+        ids=["python-int", "int64", "uint64"],
+    )
+    def test_input_types(self, convert):
+        alphas = [0, 5, 1 << 33, TOP - 9]
+        betas = [9, 5, (1 << 33) + 1_000_003, TOP]
+        _assert_covers_match_scalar(convert(alphas), convert(betas))
+
+    def test_batch_larger_than_one_chunk(self):
+        # 63-bit quaternary rows take 192 slots, so 1,200 intervals span
+        # several blocks of COVER_CELLS cells.
+        rng = np.random.default_rng(41)
+        pairs = np.sort(rng.integers(0, TOP, size=(1_200, 2), dtype=np.uint64), axis=1)
+        assert len(pairs) * 192 > dyadic.COVER_CELLS
+        _assert_covers_match_scalar(pairs[:, 0], pairs[:, 1])
+
+    def test_one_row_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(dyadic, "COVER_CELLS", 1)
+        _assert_covers_match_scalar([0, 3, 17, 1 << 50], [5, 3, 1_000, TOP])
