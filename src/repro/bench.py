@@ -28,7 +28,6 @@ __all__ = [
     "run_bulk_bench",
     "run_table2_bench",
     "run_durability_bench",
-    "run_query_engine_bench",
     "run_hh_bench",
     "check_floors",
     "write_bench_files",
@@ -36,7 +35,7 @@ __all__ = [
 
 # Top-level report keys owned by other subcommands; write_bench_files
 # carries them over instead of erasing them on a core bench re-run.
-_MERGED_BENCH_KEYS = ("cluster", "hh", "query_engine", "slo")
+_MERGED_BENCH_KEYS = ("cluster", "hh", "slo")
 
 #: Regression floors enforced by ``repro-experiments bench --check-floors``:
 #: per workload, the minimum acceptable plane-over-scalar speedup.
@@ -271,11 +270,8 @@ def check_floors(report: dict) -> list[str]:
     the scalar path, any workload named in ``config.floors`` (written by
     :func:`run_bulk_bench`) whose speedup is below its floor, and any
     floored workload missing from the report -- a floor that silently
-    stops applying is itself a regression.  A ``query_engine`` section
-    (``bench --query-engine``) is held to bit-identity only: each of its
-    workloads must answer exactly as a probe sketch fed
-    ``update_interval`` does; its timing ratio is not gated.  Returns
-    human-readable problem strings; empty means the report passes.
+    stops applying is itself a regression.  Returns human-readable
+    problem strings; empty means the report passes.
     """
     problems: list[str] = []
     workloads = report.get("workloads", {})
@@ -284,13 +280,6 @@ def check_floors(report: dict) -> list[str]:
             problems.append(
                 f"{name}: plane counters are not bit-identical to the "
                 "scalar path"
-            )
-    engine = report.get("query_engine", {}).get("workloads", {})
-    for name, entry in engine.items():
-        if not entry.get("identical", False):
-            problems.append(
-                f"query_engine {name}: engine answers are not bit-identical "
-                "to the probe-sketch path"
             )
     for name, floor in report.get("config", {}).get("floors", {}).items():
         entry = workloads.get(name)
@@ -722,109 +711,6 @@ def run_cluster_bench(
     return report
 
 
-def run_query_engine_bench(
-    medians: int = 5,
-    averages: int = 128,
-    domain_bits: int = 16,
-    points: int = 20_000,
-    queries: int = 100,
-    repeats: int = 5,
-    seed: int = 11,
-) -> dict:
-    """Answer latency of the typed query engine vs the raw inline path.
-
-    The refactor routed every estimate through
-    :mod:`repro.query.engine`; this bench quantifies what that costs.
-    Two workloads, both on the same pair of EH3 sketches:
-
-    * **join_size** -- the engine's :func:`~repro.query.engine.join_size`
-      against the pre-refactor inline reduction
-      (``median(mean(x * y, axis=1))`` on the raw counter grids);
-    * **range_sum** -- the engine's planned probe against the legacy
-      probe-sketch construction via ``update_interval`` plus the same
-      inline reduction.
-
-    Values are checked bit-identical before timing anything; the
-    recorded ``ratio`` (engine / legacy, per query) is reported, not
-    gated: the legacy side pays nothing for its probe sketch, so the
-    ratio is the engine's fixed cost (obs spans, CI bounds, planning).
-    """
-    from repro.generators import EH3, SeedSource
-    from repro.query import engine as query_engine
-    from repro.sketch.ams import SketchScheme
-
-    rng = np.random.default_rng(seed)
-    scheme = SketchScheme.from_generators(
-        lambda source: EH3.from_source(domain_bits, source),
-        medians,
-        averages,
-        SeedSource(seed),
-    )
-    x = scheme.sketch()
-    y = scheme.sketch()
-    x.update_points(rng.integers(0, 1 << domain_bits, size=points,
-                                 dtype=np.uint64))
-    y.update_points(rng.integers(0, 1 << domain_bits, size=points,
-                                 dtype=np.uint64))
-    lows = rng.integers(0, 1 << domain_bits, size=queries, dtype=np.uint64)
-    highs = rng.integers(0, 1 << domain_bits, size=queries, dtype=np.uint64)
-    bounds = [
-        (int(min(a, b)), int(max(a, b))) for a, b in zip(lows, highs)
-    ]
-
-    def legacy_join() -> list[float]:
-        return [
-            float(np.median((x.values() * y.values()).mean(axis=1)))
-            for _ in range(queries)
-        ]
-
-    def engine_join() -> list[float]:
-        return [query_engine.join_size(x, y).value for _ in range(queries)]
-
-    def legacy_range() -> list[float]:
-        answers = []
-        for low, high in bounds:
-            probe = scheme.sketch()
-            probe.update_interval((low, high))
-            answers.append(
-                float(np.median((x.values() * probe.values()).mean(axis=1)))
-            )
-        return answers
-
-    def engine_range() -> list[float]:
-        return [
-            query_engine.range_sum(x, low, high).value
-            for low, high in bounds
-        ]
-
-    report: dict = {
-        "config": {
-            "medians": medians,
-            "averages": averages,
-            "domain_bits": domain_bits,
-            "points": points,
-            "queries": queries,
-            "repeats": repeats,
-            "seed": seed,
-        },
-        "workloads": {},
-    }
-    for name, legacy, engine in (
-        ("join_size", legacy_join, engine_join),
-        ("range_sum", legacy_range, engine_range),
-    ):
-        identical = legacy() == engine()
-        legacy_seconds = _best_seconds(legacy, repeats)
-        engine_seconds = _best_seconds(engine, repeats)
-        report["workloads"][name] = {
-            "identical": identical,
-            "legacy_ns_per_query": legacy_seconds / queries * 1e9,
-            "engine_ns_per_query": engine_seconds / queries * 1e9,
-            "ratio": engine_seconds / legacy_seconds,
-        }
-    return report
-
-
 def run_hh_bench(
     averages_sweep=(16, 32, 64, 128),
     medians: int = 5,
@@ -928,9 +814,9 @@ def write_bench_files(output_dir: str = ".", **overrides) -> dict[str, str]:
     alongside its timings.
 
     Keys merged into these files by other subcommands (``cluster-bench``
-    -> ``"cluster"``, ``hh-bench`` -> ``"hh"``, ``bench --query-engine``
-    -> ``"query_engine"``) are carried over from the existing file, so
-    re-running the core bench does not erase them.
+    -> ``"cluster"``, ``hh-bench`` -> ``"hh"``, ``slo`` -> ``"slo"``) are
+    carried over from the existing file, so re-running the core bench
+    does not erase them.
     """
     import os
 

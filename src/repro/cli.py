@@ -21,7 +21,7 @@ exercising whichever capabilities it declares.
 
 ``faults`` runs the deterministic fault-injection suite
 (:mod:`repro.stream.faults`): torn WAL tails, corrupted sealed segments,
-partial snapshots, and mid-batch plane failures, verifying the recovery
+partial snapshots, and plane-kernel failures, verifying the recovery
 invariants end to end.  Exits non-zero if any scenario fails.
 
 ``cluster-faults`` runs the shard-cluster chaos suite
@@ -40,11 +40,6 @@ publishes the report under the ``"cluster"`` key of
 stream and records heavy-hitter descent recall against the
 paper-predicted error envelope, publishing the curve under the ``"hh"``
 key of ``BENCH_table2.json`` (creating the file if absent).
-
-``bench --query-engine`` additionally times the typed query engine
-(:mod:`repro.query`) against the legacy inline answer path -- values
-are verified bit-identical first -- and records the per-query latency
-ratio under the ``"query_engine"`` key of ``BENCH_bulk.json``.
 
 ``analyze`` runs the domain-aware static-analysis rules
 (:mod:`repro.analysis`, rules R001-R012) over ``src/repro``; with
@@ -168,13 +163,6 @@ def main(argv: list[str] | None = None) -> int:
         help="bench only: exit non-zero when any workload's speedup "
         "drops below the floors recorded in the BENCH_bulk.json config, "
         "or any workload's counters are not bit-identical",
-    )
-    parser.add_argument(
-        "--query-engine",
-        action="store_true",
-        help="bench only: also time the typed query engine against the "
-        "legacy inline answer path and record the latency ratio under "
-        "the 'query_engine' key of BENCH_bulk.json",
     )
     parser.add_argument(
         "--strict",
@@ -401,11 +389,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.scheme is not None and args.experiment != "bench":
         parser.error("--scheme only applies to the 'bench' experiment")
-    if (args.check_floors or args.query_engine) and args.experiment != "bench":
-        parser.error(
-            "--check-floors/--query-engine only apply to the 'bench' "
-            "experiment"
-        )
+    if args.check_floors and args.experiment != "bench":
+        parser.error("--check-floors only applies to the 'bench' experiment")
     if args.scheme is not None:
         from repro.schemes import get_spec
 
@@ -560,27 +545,6 @@ def main(argv: list[str] | None = None) -> int:
             overrides.setdefault("BENCH_table2", {})["schemes"] = (args.scheme,)
             overrides.setdefault("BENCH_durability", {})["scheme"] = args.scheme
         written = write_bench_files(args.output_dir or ".", **overrides)
-        if args.query_engine:
-            from repro.bench import run_query_engine_bench
-
-            engine_overrides = (
-                {"points": 5_000, "queries": 20, "repeats": 2}
-                if args.quick
-                else {}
-            )
-            engine_report = run_query_engine_bench(**engine_overrides)
-            with open(written["BENCH_bulk"]) as handle:
-                bulk = json_module.load(handle)
-            bulk["query_engine"] = engine_report
-            with open(written["BENCH_bulk"], "w") as handle:
-                json_module.dump(bulk, handle, indent=2)
-                handle.write("\n")
-            for name, entry in engine_report["workloads"].items():
-                print(
-                    f"query-engine {name}: ratio {entry['ratio']:.3f} "
-                    f"(identical={entry['identical']})",
-                    file=sys.stderr,
-                )
         _finish_trace()
         for name, path in written.items():
             print(f"{name}: {path}")

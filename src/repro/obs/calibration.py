@@ -15,8 +15,8 @@ observed (truth, estimate) pair lands in the ``query.calibration.*``
 counters and error histograms, per-scheme coverage gauges track the
 hit rate, and once a scheme has ``min_samples`` observations with
 coverage below ``floor`` the monitor records one
-:class:`~repro.stream.validation.Incident` (the same degradation
-record the stream layer uses) and bumps
+:class:`~repro.stream.validation.Incident` (the same record the
+cluster uses for its degraded answers) and bumps
 ``query.calibration.incidents_total`` -- the signal the SLO engine's
 calibration objectives and the CI gate read.
 

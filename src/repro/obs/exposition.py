@@ -4,7 +4,7 @@ Instruments are created lazily, on first use -- an idle process exposes
 an empty registry.  The ``repro-experiments metrics`` subcommand
 therefore runs :func:`exercise_all_layers` first: a small, deterministic
 workload that drives every instrumented layer (stream ingestion and
-validation, graceful degradation, WAL + snapshot durability, recovery,
+validation, a quarantined plane failure, WAL + snapshot durability, recovery,
 the packed plane kernels, scheme range-sum dispatch, a small inline
 shard cluster, and one static-analysis scan) so the snapshot it prints
 covers the full instrument catalogue.
@@ -77,7 +77,7 @@ def exercise_all_layers(seed: int = 20060627) -> dict[str, dict[str, Any]]:
             processor.process_interval("stream", 3, 300)
             processor.process_point("stream", -1)  # -> quarantine
             with breaking_plane(processor, "stream", fail_after=0):
-                processor.process_points("stream", [1, 2, 3])  # -> degrade
+                processor.process_points("stream", [1, 2, 3])  # -> apply-failed
             from repro.query.types import (
                 F2Query,
                 JoinSizeQuery,

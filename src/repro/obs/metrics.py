@@ -1,13 +1,13 @@
 """Typed metric instruments and the process-wide registry.
 
 The observability layer answers "where did this batch's time go" and
-"how often did we degrade to scalar" on a *live* run -- questions the
+"how many records were quarantined" on a *live* run -- questions the
 one-off ``BENCH_*.json`` reports cannot.  Four instrument types cover
 everything the hot layers need:
 
 ``Counter``
     monotonically increasing event totals (items ingested, WAL records,
-    degradations); negative increments are rejected, so a counter can
+    quarantined records); negative increments are rejected, so a counter can
     never run backwards between two snapshots;
 ``Gauge``
     a value that goes both ways (registered relations, live WAL segment

@@ -11,9 +11,9 @@ signs it with the plane's ``point_signs`` and forms every level's totals
 before one ``table += totals`` commits them, so a write that fails part
 way has changed nothing; a descent step signs its candidate blocks in
 one pass and unpacks the bits to +/-1.  Schemes without a packed plane
-(RM7, Toeplitz) take their signs from the channels' own generators, and
-so does every update with ``use_plane=False``, the plane-free retry a
-stream processor runs when the plane fails.
+(RM7, Toeplitz) take their signs from the channels' own generators.  A
+plane that raises fails the write or the descent: there is no second
+sign source to fall back on.
 
 An interval update touches each level with at most two partial edge
 blocks (weighted by the overlap) plus one run of full blocks (a single
@@ -51,7 +51,11 @@ SIGN_ROWS = 1 << 16
 
 
 class DyadicHierarchy:
-    """Per-level counters of one relation, maintained update by update."""
+    """Per-level counters of one relation, maintained update by update.
+
+    :attr:`table` holds them: one float64 ``(levels, medians, averages)``
+    array, to which a write adds all its totals with one ``+=``.
+    """
 
     def __init__(self, scheme: SketchScheme, domain_bits: int) -> None:
         from repro.schemes import channel_kind
@@ -67,7 +71,7 @@ class DyadicHierarchy:
         # Level l holds the counters of block indices item >> l; level 0
         # is the items themselves, level ``domain_bits`` the single root.
         levels = self.domain_bits + 1
-        self._table = np.zeros(
+        self.table = np.zeros(
             (levels, scheme.medians, scheme.averages), dtype=np.float64
         )
         self._shifts = np.arange(levels, dtype=np.uint64)[:, np.newaxis]
@@ -75,11 +79,11 @@ class DyadicHierarchy:
     @property
     def levels(self) -> int:
         """Number of maintained levels (``domain_bits + 1``)."""
-        return int(self._table.shape[0])
+        return int(self.table.shape[0])
 
     def sketch_at(self, level: int) -> SketchMatrix:
         """A copy of one level's counters as a sketch of the scheme."""
-        return SketchMatrix.from_values(self.scheme, self._table[level])
+        return SketchMatrix.from_values(self.scheme, self.table[level])
 
     # -- sign sources ----------------------------------------------------
 
@@ -123,52 +127,41 @@ class DyadicHierarchy:
             columns = signs.transpose(1, 0, 2).reshape(batch, -1)
             ones = bit_sums(columns, u).reshape(count, -1)[:, :counters]
             totals[first : first + count] = base - 2.0 * ones
-        return totals.reshape(self._table.shape)
+        return totals.reshape(self.table.shape)
 
     def _interval_totals(
         self,
         intervals: Sequence[Sequence[int]] | np.ndarray,
         weights: Sequence[float] | np.ndarray | None,
-        use_plane: bool,
     ) -> np.ndarray:
         """Every level's totals of an interval batch, shaped like the table.
 
         Each block run is one range-sum: the plane's interval kernel, or
         the channels' own range-sums where it has none.
         """
-        totals = np.zeros_like(self._table)
+        totals = np.zeros_like(self.table)
         for position, (low, high) in enumerate(intervals):
             scale = 1.0 if weights is None else float(weights[position])
             for level, first, last, w in self._interval_ops(low, high, scale):
-                unit = self.scheme.interval_totals((first, last), use_plane=use_plane)
-                totals[level] += w * unit
+                totals[level] += w * self.scheme.interval_totals((first, last))
         return totals
 
     # -- updates ---------------------------------------------------------
-    #
-    # ``use_plane=False`` takes every sign from the channels' generators:
-    # the plane-free retry a stream processor runs when the shared plane
-    # fails.  Bit-identical to the plane paths for integer weights.
 
-    def update_point(
-        self, item: int, weight: float = 1.0, *, use_plane: bool = True
-    ) -> None:
+    def update_point(self, item: int, weight: float = 1.0) -> None:
         """Fan one point into every level."""
-        self.update_points([item], [weight], use_plane=use_plane)
+        self.update_points([item], [weight])
 
     def update_points(
         self,
         items: Sequence[int] | np.ndarray,
         weights: Sequence[float] | np.ndarray | None = None,
-        *,
-        use_plane: bool = True,
     ) -> None:
         """Fan a point batch into every level (one sign pass per group)."""
         array = np.asarray(items, dtype=np.uint64)
         if array.size == 0:
             return
-        plane = self.scheme.plane() if use_plane else None
-        self._table += self._point_totals(array, weights, plane)
+        self.table += self._point_totals(array, weights, self.scheme.plane())
         obs.counter("query.hierarchy.updates_total").inc(array.size)
 
     def _interval_ops(
@@ -203,26 +196,22 @@ class DyadicHierarchy:
                 ops.append((level, first, last, weight * size))
         return ops
 
-    def update_interval(
-        self, low: int, high: int, weight: float = 1.0, *, use_plane: bool = True
-    ) -> None:
+    def update_interval(self, low: int, high: int, weight: float = 1.0) -> None:
         """Add ``weight`` to every item of ``[low, high]`` at every level.
 
         O(1) sketch operations per level (see :meth:`_interval_ops`);
         exact for integer weights -- the counters land bit-identical to
         feeding every point individually.
         """
-        self.update_intervals([(low, high)], [weight], use_plane=use_plane)
+        self.update_intervals([(low, high)], [weight])
 
     def update_intervals(
         self,
         intervals: Sequence[Sequence[int]] | np.ndarray,
         weights: Sequence[float] | np.ndarray | None = None,
-        *,
-        use_plane: bool = True,
     ) -> None:
         """Add a batch of inclusive intervals, committed at once."""
-        self._table += self._interval_totals(intervals, weights, use_plane)
+        self.table += self._interval_totals(intervals, weights)
         obs.counter("query.hierarchy.updates_total").inc(len(intervals))
 
     # -- block estimation ------------------------------------------------
@@ -235,23 +224,17 @@ class DyadicHierarchy:
         Vectorized across the batch: one sign pass evaluates every
         counter on all candidate blocks at once, then the shared
         median-of-means reduction runs column-wise.  Per block,
-        bit-identical to a point query against the level's sketch.  If
-        the plane raises, the signs come from the channels' generators
-        (the source the ``use_plane=False`` writes use), so descents keep
-        answering while a stream processor degrades around the plane.
+        bit-identical to a point query against the level's sketch.
         """
         blocks = np.asarray(blocks, dtype=np.uint64).ravel()
-        try:
-            signs = self._sign_bits(blocks, self.scheme.plane())
-        except Exception:  # noqa: BLE001 -- a broken plane: same signs, plane-free
-            signs = self._sign_bits(blocks, None)
+        signs = self._sign_bits(blocks, self.scheme.plane())
         bits = unpack_counter_bits(signs, self.scheme.counters)
         values = np.ascontiguousarray((1.0 - 2.0 * bits).T).reshape(
             self.scheme.medians, self.scheme.averages, blocks.size
         )
         # The column-batched form of repro.query.estimate.median_of_means:
         # same floats, same summation order, one candidate per column.
-        products = self._table[level][:, :, np.newaxis] * values
+        products = self.table[level][:, :, np.newaxis] * values
         row_means = products.mean(axis=1)  # (medians, blocks)
         return np.asarray(np.median(row_means, axis=0), dtype=np.float64)
 
@@ -275,7 +258,7 @@ class DyadicHierarchy:
             predicted_relative_error(
                 max(estimate_from_products(grid * grid).value, 0.0), 1.0, averages
             )
-            for grid in self._table
+            for grid in self.table
         ]
 
     # -- surfaces --------------------------------------------------------
@@ -383,7 +366,7 @@ class DyadicHierarchy:
 
     def counters_state(self) -> list[list[list[float]]]:
         """The ``(levels, medians, averages)`` table as nested lists."""
-        state: list[list[list[float]]] = self._table.tolist()
+        state: list[list[list[float]]] = self.table.tolist()
         return state
 
     def restore_counters(self, state: Sequence[Any]) -> None:
@@ -394,11 +377,11 @@ class DyadicHierarchy:
         counters as they were.
         """
         grid = np.asarray(state, dtype=np.float64)  # ragged: ValueError
-        if grid.shape != self._table.shape:
+        if grid.shape != self.table.shape:
             raise ValueError(
                 f"hierarchy snapshot has shape {grid.shape}, expected "
-                f"(levels, medians, averages) = {self._table.shape}"
+                f"(levels, medians, averages) = {self.table.shape}"
             )
         if not np.isfinite(grid).all():
             raise ValueError("hierarchy snapshot holds non-finite counters")
-        self._table[...] = grid
+        self.table[...] = grid

@@ -19,8 +19,8 @@ declared ``interval_kind`` (via its packed plane):
     end-points): execution falls back to the channels' own scalar
     ``range_sum`` machinery, which re-derives its cover internally.
 
-A cover is one grid pass of the batched cover functions, read out with
-one ``tolist`` per array.  :meth:`LevelPlan.totals` is the one
+A cover is one grid pass of the batched cover functions, kept as the
+arrays it returns.  :meth:`LevelPlan.totals` is the one
 kind-to-kernel dispatch, shared by query probes and by the write path
 (``repro.sketch.ams.plane_interval_totals``), so the cover is computed
 exactly once per query or write, never per cell.
@@ -28,7 +28,7 @@ exactly once per query or write, never per cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -58,29 +58,33 @@ _MAX_PLANNED = 1 << 63  # end-points past this stay on the scalar path
 class LevelPlan:
     """One interval resolved into kernel-shaped dyadic pieces.
 
-    ``lows[p]`` / ``levels[p]`` describe piece ``[lows[p], lows[p] +
-    2^levels[p])`` with **binary** levels even for quaternary plans
-    (executors halve them for the 4^j-shaped kernels).  ``endpoints``
-    and ``scalar`` plans carry the raw interval as their single piece
-    (``scalar`` with no pieces at all when the bounds defeated
-    planning).
+    ``lows[p]`` (uint64) / ``levels[p]`` (int64) describe piece
+    ``[lows[p], lows[p] + 2^levels[p])`` with **binary** levels even for
+    quaternary plans (executors halve them for the 4^j-shaped kernels).
+    ``endpoints`` plans carry the raw interval as their single piece and
+    ``scalar`` plans none.  The arrays are read-only and left out of
+    ``==``: ``(alpha, beta, kind)`` determines them.
     """
 
     alpha: int
     beta: int
     kind: str  # "quaternary" | "binary" | "endpoints" | "scalar"
-    lows: tuple[int, ...]
-    levels: tuple[int, ...]
+    lows: np.ndarray = field(compare=False)
+    levels: np.ndarray = field(compare=False)
+
+    def __post_init__(self) -> None:
+        self.lows.setflags(write=False)
+        self.levels.setflags(write=False)
 
     @property
     def pieces(self) -> int:
         """Number of dyadic pieces in the cover."""
-        return len(self.lows)
+        return int(self.lows.size)
 
     @property
     def max_level(self) -> int:
         """Coarsest piece's binary level, or -1 with no pieces."""
-        return max(self.levels) if self.levels else -1
+        return int(self.levels.max()) if self.levels.size else -1
 
     def stats(self) -> PlanStats:
         """The plan reduced to the shape recorded on an Estimate."""
@@ -96,7 +100,7 @@ class LevelPlan:
             )
         return [
             DyadicInterval(level, low >> level)
-            for low, level in zip(self.lows, self.levels)
+            for low, level in zip(self.lows.tolist(), self.levels.tolist())
         ]
 
     def covers_exactly(self) -> bool:
@@ -104,7 +108,7 @@ class LevelPlan:
         if self.kind not in ("quaternary", "binary"):
             return False
         position = self.alpha
-        for low, level in zip(self.lows, self.levels):
+        for low, level in zip(self.lows.tolist(), self.levels.tolist()):
             if low != position:
                 return False
             position = low + (1 << level)
@@ -121,10 +125,8 @@ class LevelPlan:
             return plane.interval_totals([self.alpha], [self.beta])
         if self.kind not in ("quaternary", "binary"):
             raise ValueError(f"{self.kind} plans have no kernel pieces")
-        levels = np.asarray(self.levels, dtype=np.int64)
-        if self.kind == "quaternary":
-            levels = levels >> 1
-        return plane.interval_totals(np.asarray(self.lows, dtype=np.uint64), levels)
+        levels = self.levels >> 1 if self.kind == "quaternary" else self.levels
+        return plane.interval_totals(self.lows, levels)
 
 
 def scheme_interval_kind(scheme: "SketchScheme") -> str | None:
@@ -143,7 +145,7 @@ def scheme_interval_kind(scheme: "SketchScheme") -> str | None:
 def _scalar_plan(alpha: Any, beta: Any) -> LevelPlan:
     low = int(alpha) if isinstance(alpha, (int, np.integer)) else 0
     high = int(beta) if isinstance(beta, (int, np.integer)) else 0
-    return LevelPlan(alpha=low, beta=high, kind="scalar", lows=(), levels=())
+    return LevelPlan(low, high, "scalar", np.zeros(0, np.uint64), np.zeros(0, np.int64))
 
 
 def plan_interval(alpha: Any, beta: Any, kind: str | None) -> LevelPlan:
@@ -163,16 +165,15 @@ def plan_interval(alpha: Any, beta: Any, kind: str | None) -> LevelPlan:
     if kind is None or alpha < 0 or beta >= _MAX_PLANNED:
         return _scalar_plan(alpha, beta)
     if kind == "endpoints":
-        return LevelPlan(alpha, beta, "endpoints", (alpha,), (0,))
+        lows = np.array([alpha], dtype=np.uint64)
+        return LevelPlan(alpha, beta, "endpoints", lows, np.zeros(1, np.int64))
     if kind == "quaternary":
         cover = quaternary_cover_arrays([alpha], [beta])
     elif kind == "binary":
         cover = dyadic_cover_arrays([alpha], [beta])
     else:
         raise ValueError(f"unknown decomposition kind {kind!r}")
-    return LevelPlan(
-        alpha, beta, kind, tuple(cover.lows.tolist()), tuple(cover.levels.tolist())
-    )
+    return LevelPlan(alpha, beta, kind, cover.lows, cover.levels)
 
 
 def plan_for_scheme(

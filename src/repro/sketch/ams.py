@@ -131,20 +131,18 @@ class SketchScheme:
             dtype=np.float64,
         )
 
-    def point_totals(self, item: Any, *, use_plane: bool = True) -> np.ndarray:
+    def point_totals(self, item: Any) -> np.ndarray:
         """Unit-weight ``(medians, averages)`` contributions of one point."""
-        if use_plane and isinstance(item, (int, np.integer)):
+        if isinstance(item, (int, np.integer)):
             plane = self.plane()
             if plane is not None:
                 totals = plane.point_totals(np.asarray([item]))
                 return totals.reshape(self.medians, self.averages)
         return self.channel_totals(lambda channel: channel.point(item))
 
-    def interval_totals(
-        self, bounds: Any, *, use_plane: bool = True
-    ) -> np.ndarray:
+    def interval_totals(self, bounds: Any) -> np.ndarray:
         """Unit-weight ``(medians, averages)`` sums of one interval/rectangle."""
-        totals = plane_interval_totals(self.plane(), bounds) if use_plane else None
+        totals = plane_interval_totals(self.plane(), bounds)
         if totals is not None:
             return totals.reshape(self.medians, self.averages)
         return self.channel_totals(lambda channel: channel.interval(bounds))
@@ -175,11 +173,11 @@ class SketchMatrix:
     """The counters summarizing one relation: one ``(medians, averages)`` array.
 
     Every write is compute-then-commit: the packed plane (or, for grids
-    it does not cover, and under ``use_plane=False``, the channels) forms
-    a totals grid and one ``+=`` commits it to :attr:`table`, so a write
-    that fails has changed nothing.  The add runs ``value + weight *
-    total`` per counter, the per-cell loop's IEEE operations in the same
-    order, so counters are bit-identical to :class:`AtomicSketch` updates.
+    it does not cover, the channels) forms a totals grid and one ``+=``
+    commits it to :attr:`table`, so a write that fails has changed
+    nothing.  The add runs ``value + weight * total`` per counter, the
+    per-cell loop's IEEE operations in the same order, so counters are
+    bit-identical to :class:`AtomicSketch` updates.
     """
 
     def __init__(self, scheme: SketchScheme) -> None:
@@ -207,23 +205,18 @@ class SketchMatrix:
             for r, row in enumerate(self.scheme.channels)
         ]
 
-    def update_point(
-        self, item: Any, weight: float = 1.0, *, use_plane: bool = True
-    ) -> None:
+    def update_point(self, item: Any, weight: float = 1.0) -> None:
         """Stream one point into every counter (one plane pass when covered)."""
-        self._add_scaled(self.scheme.point_totals(item, use_plane=use_plane), weight)
+        self._add_scaled(self.scheme.point_totals(item), weight)
 
-    def update_interval(
-        self, bounds: Any, weight: float = 1.0, *, use_plane: bool = True
-    ) -> None:
+    def update_interval(self, bounds: Any, weight: float = 1.0) -> None:
         """Stream one interval/rectangle into every counter.
 
         The fast path behind ``StreamProcessor.process_interval``: 1-D
         intervals on plane-covered grids decompose once and update every
         counter in one batched pass.
         """
-        totals = self.scheme.interval_totals(bounds, use_plane=use_plane)
-        self._add_scaled(totals, weight)
+        self._add_scaled(self.scheme.interval_totals(bounds), weight)
 
     def _add_scaled(self, totals: np.ndarray, weight: float) -> None:
         """Commit ``weight * totals`` in one add."""
@@ -245,8 +238,6 @@ class SketchMatrix:
         self,
         items: Any,
         weights: Sequence[float] | np.ndarray | None = None,
-        *,
-        use_plane: bool = True,
     ) -> None:
         """Stream a whole point batch into the grid in one plane pass.
 
@@ -255,7 +246,7 @@ class SketchMatrix:
         Equivalent to ``update_point`` per item; exact for integer
         weights, within float64 rounding otherwise.
         """
-        plane = self.scheme.plane() if use_plane else None
+        plane = self.scheme.plane()
         if plane is not None:
             from repro.sketch.plane import add_totals
 
@@ -265,8 +256,7 @@ class SketchMatrix:
             ):
                 add_totals(self, plane.point_totals(items, weights))
             return
-        if use_plane:
-            obs.counter("sketch.bulk.fallback_total").inc()
+        obs.counter("sketch.bulk.fallback_total").inc()
         items = np.asarray(items)
         if items.ndim == 1:
             self.table += self.scheme.channel_totals(
@@ -285,8 +275,6 @@ class SketchMatrix:
         self,
         intervals: Any,
         weights: Sequence[float] | np.ndarray | None = None,
-        *,
-        use_plane: bool = True,
     ) -> None:
         """Stream a whole 1-D interval batch into the grid.
 
@@ -297,7 +285,7 @@ class SketchMatrix:
         """
         from repro.sketch.plane import add_totals
 
-        plane = self.scheme.plane() if use_plane else None
+        plane = self.scheme.plane()
         kind = getattr(plane, "interval_kind", None)
         if kind in ("quaternary", "binary"):
             from repro.sketch import bulk
@@ -319,11 +307,7 @@ class SketchMatrix:
             return
         pairs = np.asarray(intervals).reshape(-1, 2).tolist()
         self._add_each(
-            (
-                self.scheme.interval_totals((a, b), use_plane=use_plane)
-                for a, b in pairs
-            ),
-            weights,
+            (self.scheme.interval_totals((a, b)) for a, b in pairs), weights
         )
 
     def update_frequency_vector(self, frequencies: np.ndarray) -> None:

@@ -2,6 +2,7 @@
 
 from repro.stream.durability import DurabilityConfig, WriteAheadLog
 from repro.stream.errors import (
+    ApplyError,
     DurabilityError,
     InjectedFault,
     InvalidUpdateError,
@@ -55,6 +56,7 @@ __all__ = [
     "InvalidUpdateError",
     "UnknownRelationError",
     "SchemeMismatchError",
+    "ApplyError",
     "DurabilityError",
     "WALCorruptionError",
     "SnapshotCorruptionError",

@@ -5,8 +5,9 @@ state holder for an unbounded stream, so every failure mode gets its own
 exception type: callers can tell *bad input* (:class:`InvalidUpdateError`,
 :class:`UnknownRelationError`, :class:`SchemeMismatchError`) from *damaged
 durable state* (:class:`WALCorruptionError`, :class:`SnapshotCorruptionError`,
-:class:`RecoveryError`) and react per class -- quarantine the former,
-page an operator for the latter.
+:class:`RecoveryError`) from *a bug on the write path*
+(:class:`ApplyError`) and react per class -- quarantine the first,
+page an operator for the others.
 
 The input-validation errors subclass :class:`ValueError` so existing
 callers that caught ``ValueError`` keep working unchanged.
@@ -19,6 +20,7 @@ __all__ = [
     "InvalidUpdateError",
     "UnknownRelationError",
     "SchemeMismatchError",
+    "ApplyError",
     "DurabilityError",
     "WALCorruptionError",
     "SnapshotCorruptionError",
@@ -54,6 +56,17 @@ class SchemeMismatchError(StreamError, ValueError):
     Combining such sketches would silently produce garbage estimates, so
     :meth:`repro.stream.processor.StreamProcessor.merge_sketch` compares
     scheme fingerprints and raises this instead.
+    """
+
+
+class ApplyError(StreamError):
+    """A screened write failed while its new counters were being formed.
+
+    Input is validated before it reaches the kernels, so this is a bug
+    (or an injected fault): the original exception is chained as
+    ``__cause__``.  Nothing was logged or applied.  Under the
+    ``quarantine``/``clamp`` policies the write is dead-lettered as
+    ``apply-failed`` instead of raising.
     """
 
 

@@ -3,11 +3,11 @@
 Recovery code is only as good as the failures it has survived.  This
 module injects the failure modes that matter for sketch durability --
 **torn WAL tails** (crash mid-append), **flipped bytes** in sealed
-segments, **partial snapshots** (crash mid-checkpoint), and **mid-batch
-plane-kernel exceptions** -- and runs a scenario suite that proves the
-recovery invariants: post-recovery counters bit-identical to an
-uninterrupted run, corruption detected loudly, degradation silent and
-exact.
+segments, **partial snapshots** (crash mid-checkpoint), and **plane-kernel
+exceptions** -- and runs a scenario suite that proves the recovery
+invariants: post-recovery counters bit-identical to an uninterrupted
+run, corruption detected loudly, and a failing kernel's writes raised
+or dead-lettered without reaching the log or a counter.
 
 Everything is deterministic: scenarios derive all randomness from an
 explicit seed, so a failing scenario replays exactly under
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.sketch.plane import counter_plane
 from repro.stream.durability import DurabilityConfig
-from repro.stream.errors import InjectedFault, WALCorruptionError
+from repro.stream.errors import ApplyError, InjectedFault, WALCorruptionError
 from repro.stream.processor import StreamProcessor
 
 __all__ = [
@@ -189,11 +189,14 @@ def _reference_counters(seed: int, ops, domain_bits: int = 12) -> np.ndarray:
     return processor.sketch_of("r").values()
 
 
-def _durable(directory: str, seed: int, **config) -> StreamProcessor:
+def _durable(
+    directory: str, seed: int, policy: str = "raise", **config
+) -> StreamProcessor:
     processor = StreamProcessor(
         medians=3,
         averages=16,
         seed=seed,
+        policy=policy,
         durability=DurabilityConfig(directory=directory, **config),
     )
     processor.register_relation("r", 12)
@@ -303,30 +306,49 @@ def _scenario_sealed_corruption(base: str, seed: int) -> ScenarioResult:
                   "corrupted sealed segment replayed silently")
 
 
-def _scenario_plane_degradation(base: str, seed: int) -> ScenarioResult:
-    """Mid-batch plane failures must degrade to scalar, bit-identically."""
+def _scenario_plane_failure(base: str, seed: int) -> ScenarioResult:
+    """Writes through a failing plane fail loudly and reach no log or counter.
+
+    Under ``quarantine`` each is dead-lettered as ``apply-failed``: the
+    counters equal a healthy run fed only the other writes, and recovery
+    reproduces them bit for bit.  Under ``raise`` the write raises
+    :class:`ApplyError` chaining the kernel's exception.
+    """
     ops = _workload(seed)
-    reference = _reference_counters(seed, ops)
-    processor = StreamProcessor(
-        medians=3, averages=16, seed=seed, policy="quarantine"
-    )
-    processor.register_relation("r", 12)
     cut = len(ops) // 2
+    resume = cut + 8
+    kernels = ("point_totals", "interval_totals")
+    directory = os.path.join(base, "plane")
+    processor = _durable(directory, seed, policy="quarantine")
     _feed(processor, ops, 0, cut)
-    with breaking_plane(processor, "r", fail_after=0):
-        with breaking_plane(processor, "r", fail_after=0,
-                            method="interval_totals"):
-            _feed(processor, ops, cut)
-    identical = np.array_equal(processor.sketch_of("r").values(), reference)
-    degraded = len(processor.incidents) > 0
-    recovered_all = all(incident.recovered for incident in processor.incidents)
+    with breaking_plane(processor, "r", method=kernels):
+        _feed(processor, ops, cut, resume)
+    _feed(processor, ops, resume)
+    processor.close()
+    live = processor.sketch_of("r").values()
+    admitted = np.array_equal(
+        live, _reference_counters(seed, ops[:cut] + ops[resume:])
+    )
+    lettered = processor.dead_letters.counts["apply-failed"] == resume - cut
+    recovered = StreamProcessor.recover(directory, policy="raise")
+    exact = recovered.sketch_of("r").values().tobytes() == live.tobytes()
+    typed = False
+    with breaking_plane(recovered, "r", method=kernels):
+        try:
+            _feed(recovered, ops, cut, cut + 1)
+        except ApplyError as exc:
+            typed = isinstance(exc.__cause__, InjectedFault)
+    untouched = recovered.sketch_of("r").values().tobytes() == live.tobytes()
+    recovered.close()
+    passed = admitted and lettered and exact and typed and untouched
     return _check(
-        "plane-degradation",
-        identical and degraded and recovered_all,
-        f"{len(processor.incidents)} incidents recorded, counters "
-        "bit-identical to the healthy run"
-        if identical and degraded
-        else f"identical={identical} incidents={len(processor.incidents)}",
+        "plane-failure",
+        passed,
+        f"{resume - cut} writes dead-lettered as apply-failed, counters equal "
+        "to the admitted stream, recovery bit-identical, ApplyError raised"
+        if passed
+        else f"admitted={admitted} lettered={lettered} exact={exact} "
+        f"typed={typed} untouched={untouched}",
     )
 
 
@@ -377,7 +399,7 @@ def run_fault_suite(
         _scenario_torn_tail,
         _scenario_partial_snapshot,
         _scenario_sealed_corruption,
-        _scenario_plane_degradation,
+        _scenario_plane_failure,
         _scenario_quarantine_isolation,
     ]
     results: list[ScenarioResult] = []

@@ -29,11 +29,15 @@ snapshot and replays the WAL tail exactly once (idempotent via sequence
 numbers, tolerant of a torn final record).  See ``docs/operations.md``
 for the operational lifecycle.
 
-The batched ingestion paths degrade gracefully: if the packed plane
-kernels raise mid-batch, the touched counters are rolled back and the
-batch re-runs on the per-cell scalar path (bit-identical by the plane's
-property tests), recording an :class:`~repro.stream.validation.Incident`
-instead of failing the stream.
+Every write runs compute, log, commit: the relation's new counters,
+and its hierarchy's, are formed on staged copies before the WAL record
+is appended, and swapped in after it.  A write that fails while its
+counters are formed has changed nothing and logged nothing.  It raises
+:class:`~repro.stream.errors.ApplyError` under ``raise``, is
+dead-lettered as ``apply-failed`` under ``quarantine``/``clamp``, and
+fails a replay with :class:`~repro.stream.errors.RecoveryError`.  There
+is no second write path: input is screened first, so a failing kernel
+is a bug, and it is reported rather than retried.
 
 The processor is deliberately memory-honest: :meth:`memory_words` reports
 exactly how many counters it holds, the number the paper's Figures 5-7
@@ -83,6 +87,7 @@ from repro.stream.durability import (
     write_snapshot,
 )
 from repro.stream.errors import (
+    ApplyError,
     DurabilityError,
     InvalidUpdateError,
     RecoveryError,
@@ -92,8 +97,6 @@ from repro.stream.errors import (
 from repro.stream.validation import (
     POLICIES,
     DeadLetterBuffer,
-    Incident,
-    IncidentLog,
     QuarantinedRecord,
     screen_interval,
     screen_intervals,
@@ -104,6 +107,37 @@ from repro.stream.validation import (
 __all__ = ["StreamProcessor", "QueryHandle"]
 
 _MANIFEST = "manifest.json"
+
+#: The write operations: each forms new counters before it is logged.
+_WRITES = ("point", "interval", "points", "intervals")
+
+
+def _write_calls(op: dict[str, Any]) -> tuple[str, tuple, tuple]:
+    """A write's ``update_*`` name, its sketch arguments, its hierarchy's."""
+    kind = op["op"]
+    if kind == "point":
+        args = (op["item"], op["weight"])
+        return "update_point", args, args
+    if kind == "interval":
+        low, high, weight = op["low"], op["high"], op["weight"]
+        return "update_interval", ((low, high), weight), (low, high, weight)
+    weights = None if op["weights"] is None else np.asarray(op["weights"], dtype=np.float64)
+    if kind == "points":
+        items = np.asarray(op["items"], dtype=np.uint64)
+    else:
+        items = np.asarray(op["intervals"], dtype=np.uint64).reshape(-1, 2)
+    return f"update_{kind}", (items, weights), (items, weights)
+
+
+def _staged(live: Any) -> Any:
+    """A shallow copy of a sketch or hierarchy holding its own counter table.
+
+    Built by hand: ``copy.copy``'s ``__reduce_ex__`` round costs ~3 µs
+    more per write.
+    """
+    twin = object.__new__(type(live))
+    twin.__dict__.update(live.__dict__, table=live.table.copy())
+    return twin
 
 
 @dataclass(frozen=True)
@@ -129,7 +163,6 @@ class StreamProcessor:
         quarantine_capacity: int = 1024,
         durability: DurabilityConfig | str | None = None,
         scheme: str | None = None,
-        incident_capacity: int = 256,
     ) -> None:
         if medians < 1 or averages < 1:
             raise ValueError("medians and averages must be positive")
@@ -156,7 +189,6 @@ class StreamProcessor:
             self._factory = get_spec(self._scheme_name).factory
         self.policy = policy
         self.dead_letters = DeadLetterBuffer(quarantine_capacity)
-        self.incidents = IncidentLog(incident_capacity)
         self._domain_bits: dict[str, int] = {}
         self._registration_order: list[str] = []
         self._schemes: dict[str, SketchScheme] = {}  # per domain-group
@@ -235,7 +267,6 @@ class StreamProcessor:
                 for name, sketch in self._sketches.items()
             },
             "quarantine_counts": dict(self.dead_letters.counts),
-            "incident_count": self.incidents.total,
             "hierarchies": {
                 name: hierarchy.counters_state()
                 for name, hierarchy in self._hierarchies.items()
@@ -275,7 +306,6 @@ class StreamProcessor:
         generator_factory: Callable[[int, SeedSource], Generator] | None = None,
         policy: str | None = None,
         quarantine_capacity: int = 1024,
-        incident_capacity: int = 256,
     ) -> "StreamProcessor":
         """Rebuild a processor from its durability directory.
 
@@ -316,7 +346,6 @@ class StreamProcessor:
                 None if generator_factory is not None
                 else manifest.get("scheme")
             ),
-            incident_capacity=incident_capacity,
         )
         with obs.span("durability.recover", directory=config.directory):
             processor._replaying = True
@@ -337,7 +366,7 @@ class StreamProcessor:
                         f"found {seq} (segments pruned too far?)"
                     )
                 expected = seq + 1
-                processor._apply(json.loads(payload.decode("utf-8")))
+                processor._commit(json.loads(payload.decode("utf-8")))
                 processor._applied_seq = seq
                 replayed += 1
             processor._replaying = False
@@ -396,14 +425,31 @@ class StreamProcessor:
             max_id = max(max_id, identifier)
         self._next_query = max_id + 1
 
-    # -- WAL commit path -------------------------------------------------
+    # -- the write path --------------------------------------------------
 
-    def _commit(self, op: dict[str, Any]) -> None:
-        """Log one admitted operation (write-ahead), then apply it."""
+    def _commit(self, op: dict[str, Any]) -> bool:
+        """Form one admitted operation's new state, log it, then swap it in.
+
+        Live ingestion and WAL replay (which skips the append) both run
+        through here, which is what makes recovery bit-identical to an
+        uninterrupted run.  Forming changes no live state, so a write
+        that fails there is neither logged nor applied (see
+        :meth:`_write_failed`).  Returns whether the operation landed.
+        """
+        kind = op["op"]
+        with obs.span("stream.apply", op=kind):
+            if kind in _WRITES:
+                try:
+                    swap = self._stage_write(op)
+                except Exception as exc:  # noqa: BLE001 -- screened input: a bug, reported
+                    self._write_failed(op, exc)
+                    return False
+            else:
+                swap = self._deferred(op)
         seq = 0
         if self._wal is not None and not self._replaying:
             seq = self._wal.append(canonical_json(op).encode("utf-8"))
-        self._apply(op)
+        swap()
         if seq:
             self._applied_seq = seq
             self._records_since_checkpoint += 1
@@ -414,183 +460,65 @@ class StreamProcessor:
                 >= self._durability.checkpoint_every
             ):
                 self.checkpoint()
+        return True
 
-    def _apply(self, op: dict[str, Any]) -> None:
-        """Apply one (already validated) operation to in-memory state.
-
-        This is the single dispatch both live ingestion and WAL replay
-        run through, which is what makes recovery bit-identical to an
-        uninterrupted run.
-        """
+    def _deferred(self, op: dict[str, Any]) -> Callable[[], None]:
+        """A registration or merge, bound to run at commit time."""
         kind = op["op"]
-        with obs.span("stream.apply", op=kind):
-            self._dispatch(op, kind)
-
-    def _dispatch(self, op: dict[str, Any], kind: str) -> None:
         if kind == "register":
-            self._do_register(op["name"], op["domain_bits"])
-        elif kind == "register_join":
-            self._do_register_query("join", op["left"], op["right"])
-        elif kind == "register_self_join":
-            self._do_register_query("self_join", op["relation"], op["relation"])
-        elif kind == "register_hierarchy":
-            self._do_register_hierarchy(op["relation"])
-        elif kind == "point":
-            self._guarded_update(
-                op["relation"],
-                "point",
-                1,
-                fast=lambda s: s.update_point(op["item"], op["weight"]),
-                scalar=lambda s: s.update_point(
-                    op["item"], op["weight"], use_plane=False
-                ),
-                payload=(op["item"], op["weight"]),
-                mirror=("update_point", op["item"], op["weight"]),
-            )
-        elif kind == "interval":
-            self._guarded_update(
-                op["relation"],
-                "interval",
-                1,
-                fast=lambda s: s.update_interval(
-                    (op["low"], op["high"]), op["weight"]
-                ),
-                scalar=lambda s: s.update_interval(
-                    (op["low"], op["high"]), op["weight"], use_plane=False
-                ),
-                payload=(op["low"], op["high"], op["weight"]),
-                mirror=("update_interval", op["low"], op["high"], op["weight"]),
-            )
-        elif kind == "points":
-            items = np.asarray(op["items"], dtype=np.uint64)
-            weights = (
-                None
-                if op["weights"] is None
-                else np.asarray(op["weights"], dtype=np.float64)
-            )
-            self._guarded_update(
-                op["relation"],
-                "points",
-                int(items.size),
-                fast=lambda s: s.update_points(items, weights),
-                scalar=lambda s: s.update_points(items, weights, use_plane=False),
-                payload={"items": op["items"], "weights": op["weights"]},
-                mirror=("update_points", items, weights),
-            )
-        elif kind == "intervals":
-            intervals = np.asarray(op["intervals"], dtype=np.uint64).reshape(
-                -1, 2
-            )
-            weights = (
-                None
-                if op["weights"] is None
-                else np.asarray(op["weights"], dtype=np.float64)
-            )
-            self._guarded_update(
-                op["relation"],
-                "intervals",
-                int(intervals.shape[0]),
-                fast=lambda s: s.update_intervals(intervals, weights),
-                scalar=lambda s: s.update_intervals(
-                    intervals, weights, use_plane=False
-                ),
-                payload={"intervals": op["intervals"], "weights": op["weights"]},
-                mirror=("update_intervals", intervals, weights),
-            )
-        elif kind == "merge":
-            self._do_merge(
-                op["relation"], op["values"], op.get("fingerprint")
-            )
-        else:
-            raise RecoveryError(f"unknown WAL operation {kind!r}")
+            return lambda: self._do_register(op["name"], op["domain_bits"])
+        if kind == "register_join":
+            return lambda: self._do_register_query("join", op["left"], op["right"])
+        if kind == "register_self_join":
+            return lambda: self._do_register_query("self_join", op["relation"], op["relation"])
+        if kind == "register_hierarchy":
+            return lambda: self._do_register_hierarchy(op["relation"])
+        if kind == "merge":
+            return lambda: self._do_merge(op["relation"], op["values"], op.get("fingerprint"))
+        raise RecoveryError(f"unknown WAL operation {kind!r}")
 
-    # -- graceful degradation --------------------------------------------
+    def _stage_write(self, op: dict[str, Any]) -> Callable[[], None]:
+        """Form a write's new counters on copies; return the swap committing them.
 
-    def _guarded_update(
-        self,
-        relation: str,
-        operation: str,
-        batch_size: int,
-        fast: Callable[[SketchMatrix], None],
-        scalar: Callable[[SketchMatrix], None],
-        payload: Any,
-        mirror: tuple[Any, ...],
-    ) -> None:
-        """Run the fast path; on failure degrade to the scalar path.
-
-        If the scalar path fails too, the record is re-raised under the
-        ``raise`` policy and quarantined otherwise: no exception escapes
-        the ingestion path under ``quarantine``/``clamp``.
-
-        An update that reached the counters is then mirrored into the
-        relation's hierarchy, if any (``mirror``: the hierarchy's
-        ``update_*`` name and arguments), degrading the same way, so
-        dependent state sees exactly the records the base sketch admitted.
+        The relation's sketch and, when it has one, its hierarchy each
+        run their own ``update_*`` on a copy holding its own counter
+        table, so the floats are those of an in-place write.
         """
-        sketch = self._sketches[relation]
-        failure = self._with_retry(
-            operation, relation, batch_size, lambda: fast(sketch), lambda: scalar(sketch)
-        )
-        if failure is not None:
-            self.dead_letters.add(
-                QuarantinedRecord(
-                    relation,
-                    operation,
-                    payload,
-                    "apply-failed",
-                    f"both fast and scalar paths failed: {failure!r}",
-                )
-            )
-            return
+        relation = op["relation"]
+        method, args, hierarchy_args = _write_calls(op)
+        targets = [(self._sketches[relation], args)]
         hierarchy = self._hierarchies.get(relation)
         if hierarchy is not None:
-            update, *args = mirror
-            method = getattr(hierarchy, update)
-            self._with_retry(
-                "hierarchy",
-                relation,
-                1,
-                lambda: method(*args),
-                lambda: method(*args, use_plane=False),
-            )
+            targets.append((hierarchy, hierarchy_args))
+        tables = []
+        for live, call_args in targets:
+            twin = _staged(live)
+            getattr(twin, method)(*call_args)
+            tables.append((live, twin.table))
 
-    def _with_retry(
-        self,
-        operation: str,
-        relation: str,
-        batch_size: int,
-        fast: Callable[[], None],
-        scalar: Callable[[], None],
-    ) -> Exception | None:
-        """Run ``fast``; if it raises, record an incident and run ``scalar``.
+        def swap() -> None:
+            for live, table in tables:
+                live.table = table
 
-        Sketches and hierarchies form every total before one array add
-        commits them, so a failed path has changed no counter and the
-        retry starts from the same state.  Returns the scalar path's
-        error when both paths fail (re-raised instead under the ``raise``
-        policy), ``None`` when the update landed.
-        """
-        try:
-            fast()
-            return None
-        except Exception as exc:  # noqa: BLE001 -- degradation boundary
-            first_error = exc
-        obs.counter("stream.degrade.incidents_total").inc()
-        try:
-            scalar()
-        except Exception as exc:  # noqa: BLE001 -- both paths down
-            self.incidents.append(
-                Incident(operation, relation, repr(exc), batch_size, False)
-            )
-            obs.counter("stream.degrade.failures_total").inc()
-            if self.policy == "raise":
-                raise
-            return exc
-        self.incidents.append(
-            Incident(operation, relation, repr(first_error), batch_size, True)
+        return swap
+
+    def _write_failed(self, op: dict[str, Any], exc: Exception) -> None:
+        """A write that failed while forming: raise it or dead-letter it."""
+        kind, relation = op["op"], op["relation"]
+        if self._replaying:
+            raise RecoveryError(
+                f"replaying a {kind} write to {relation!r} failed: {exc!r}"
+            ) from exc
+        if self.policy == "raise":
+            raise ApplyError(
+                f"{kind} write to {relation!r} failed while its counters "
+                f"were formed; nothing was logged or applied: {exc!r}"
+            ) from exc
+        payload = {key: value for key, value in op.items() if key not in ("op", "relation")}
+        self._quarantine(
+            relation,
+            QuarantinedRecord(relation, kind, payload, "apply-failed", repr(exc)),
         )
-        obs.counter("stream.degrade.degradations_total").inc()
-        return None
 
     # -- registration ----------------------------------------------------
 
@@ -685,10 +613,11 @@ class StreamProcessor:
             self._quarantine(relation, outcome)
             return
         item, weight = outcome
-        self._commit(
+        if not self._commit(
             {"op": "point", "relation": relation, "item": item,
              "weight": weight}
-        )
+        ):
+            return
         obs.counter("stream.ingest.points_total").inc()
         obs.rate("stream.ingest.items_rate").mark()
 
@@ -712,10 +641,11 @@ class StreamProcessor:
             self._quarantine(relation, outcome)
             return
         low, high, weight = outcome
-        self._commit(
+        if not self._commit(
             {"op": "interval", "relation": relation, "low": low,
              "high": high, "weight": weight}
-        )
+        ):
+            return
         obs.counter("stream.ingest.intervals_total").inc()
         obs.rate("stream.ingest.items_rate").mark()
 
@@ -729,7 +659,7 @@ class StreamProcessor:
             self._quarantine(relation, record)
         if screened.items.size == 0:
             return
-        self._commit(
+        if not self._commit(
             {
                 "op": "points",
                 "relation": relation,
@@ -740,7 +670,8 @@ class StreamProcessor:
                     else [float(w) for w in screened.weights]
                 ),
             }
-        )
+        ):
+            return
         obs.counter("stream.ingest.points_total").inc(int(screened.items.size))
         obs.counter("stream.ingest.batches_total").inc()
         obs.histogram(
@@ -758,7 +689,7 @@ class StreamProcessor:
             self._quarantine(relation, record)
         if screened.items.shape[0] == 0:
             return
-        self._commit(
+        if not self._commit(
             {
                 "op": "intervals",
                 "relation": relation,
@@ -771,7 +702,8 @@ class StreamProcessor:
                     else [float(w) for w in screened.weights]
                 ),
             }
-        )
+        ):
+            return
         count = int(screened.items.shape[0])
         obs.counter("stream.ingest.intervals_total").inc(count)
         obs.counter("stream.ingest.batches_total").inc()
@@ -988,7 +920,7 @@ class StreamProcessor:
         return list(self._domain_bits)
 
     def stats(self) -> dict[str, Any]:
-        """Operational counters: quarantine, incidents, durability, planes.
+        """Operational counters: quarantine, durability, planes.
 
         ``"planes"`` reports, per scheme group, whether the packed plane
         kernels cover its grid -- and, when they do not, the recorded
@@ -1005,9 +937,6 @@ class StreamProcessor:
                 **dict(self.dead_letters.counts),
                 "dropped": self.dead_letters.dropped,
             },
-            "incidents": self.incidents.total,
-            "incidents_buffered": len(self.incidents),
-            "incidents_dropped": self.incidents.dropped,
             "applied_seq": self._applied_seq,
             "durable": self._wal is not None,
             "scheme": self._scheme_name,

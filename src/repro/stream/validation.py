@@ -61,7 +61,11 @@ class QuarantinedRecord:
 
 @dataclass(frozen=True)
 class Incident:
-    """One recorded degradation event (fast path failed, kept serving)."""
+    """One recorded incident: something failed and the caller kept serving.
+
+    The cluster records shard restarts, stale reads and degraded
+    answers; the calibration monitor records coverage dips.
+    """
 
     operation: str
     relation: str
@@ -74,7 +78,7 @@ class IncidentLog:
     """Bounded ring of the most recent incidents, with exact totals.
 
     An unbounded incident list grows without limit on a long-lived
-    stream whose plane keeps failing; this ring keeps the newest
+    cluster whose shards keep failing; this ring keeps the newest
     ``capacity`` incidents for inspection while ``total`` and
     ``dropped`` stay exact over the whole history.  Every drop also
     bumps the ``stream.incidents.dropped_total`` counter so overflow is

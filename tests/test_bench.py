@@ -51,19 +51,6 @@ class TestCheckFloors:
             "floored workload 'eh3_point_batch' is missing from the report"
         ]
 
-    def test_query_engine_gated_on_identity_not_ratio(self):
-        report = _report(eh3_point_batch=_entry())
-        report["query_engine"] = {
-            "workloads": {
-                "join_size": {"identical": True, "ratio": 9.0},
-                "range_sum": {"identical": False, "ratio": 0.1},
-            }
-        }
-        problems = check_floors(report)
-        assert len(problems) == 1
-        assert "query_engine range_sum" in problems[0]
-        assert "not bit-identical" in problems[0]
-
 
 class TestCoverLeg:
     def test_cover_batch_is_identical_and_floored(self):

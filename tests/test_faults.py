@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.sketch.plane import counter_plane
-from repro.stream import DurabilityConfig, StreamProcessor
+from repro.stream import ApplyError, DurabilityConfig, InjectedFault, StreamProcessor
 from repro.stream.faults import (
     _reference_counters,
     _feed,
@@ -23,6 +24,10 @@ from repro.stream.faults import (
 from .faults import breaking_plane, truncate_tail, wal_segments
 
 SEED = 20060627
+
+
+def _counter(name: str) -> float:
+    return float(obs.snapshot().get(name, {}).get("value", 0.0))
 
 
 class TestScenarioSuite:
@@ -40,7 +45,7 @@ class TestScenarioSuite:
             "torn-wal-tail",
             "partial-snapshot-fallback",
             "sealed-corruption-detected",
-            "plane-degradation",
+            "plane-failure",
             "quarantine-isolation",
         ],
     )
@@ -93,75 +98,75 @@ class TestKillPoints:
 
 
 class TestDegradationGuarantees:
-    """The acceptance criteria of the graceful-degradation path."""
+    """A failing plane fails its write loudly: nothing logged, nothing applied."""
 
-    def _processor(self, policy="quarantine"):
+    KERNELS = ("point_totals", "point_signs", "interval_totals")
+
+    def _processor(self, policy="quarantine", **kwargs):
         processor = StreamProcessor(
-            medians=3, averages=16, seed=SEED, policy=policy
+            medians=3, averages=16, seed=SEED, policy=policy, **kwargs
         )
         processor.register_relation("r", 12)
         return processor
 
-    def test_no_exception_escapes_under_quarantine(self):
-        processor = self._processor("quarantine")
-        items = np.arange(64, dtype=np.uint64)
-        with breaking_plane(processor, "r", fail_after=0):
-            processor.process_points("r", items)  # must not raise
-        assert len(processor.incidents) == 1
-        assert processor.incidents[0].recovered
-
-    def test_degraded_counters_identical_for_both_batch_kinds(self):
-        healthy = self._processor()
-        degraded = self._processor()
-        items = np.arange(128, dtype=np.uint64)
-        weights = np.arange(1, 129, dtype=np.float64)
-        intervals = [[i * 8, i * 8 + 11] for i in range(40)]
-        healthy.process_points("r", items, weights)
-        healthy.process_intervals("r", intervals)
-        with breaking_plane(degraded, "r", fail_after=0):
-            with breaking_plane(
-                degraded, "r", fail_after=0, method="interval_totals"
-            ):
-                degraded.process_points("r", items, weights)
-                degraded.process_intervals("r", intervals)
-        assert np.array_equal(
-            healthy.sketch_of("r").values(), degraded.sketch_of("r").values()
-        )
-        assert [i.operation for i in degraded.incidents] == [
-            "points", "intervals",
-        ]
-
-    def _hierarchy_twins(self):
-        healthy = self._processor()
-        broken = self._processor()
-        for processor in (healthy, broken):
-            processor.register_hierarchy("r")
-            processor.process_points("r", np.arange(0, 4096, 61, dtype=np.uint64))
-        return healthy, broken
+    def _with_hierarchy(self, policy="quarantine", **kwargs):
+        processor = self._processor(policy, **kwargs)
+        processor.register_hierarchy("r")
+        processor.process_points("r", np.arange(0, 4096, 61, dtype=np.uint64))
+        return processor
 
     @staticmethod
-    def _levels(processor):
-        return np.array(processor.hierarchy_of("r").counters_state())
+    def _state(processor):
+        """The relation's sketch and hierarchy counters, as bytes."""
+        levels = np.array(processor.hierarchy_of("r").counters_state())
+        return processor.sketch_of("r").values().tobytes(), levels.tobytes()
 
-    def test_hierarchy_retry_matches_healthy_twin(self):
-        """The plane dies after the base write: one scalar retry of the
-        hierarchy, counters equal to a healthy twin's."""
-        healthy, broken = self._hierarchy_twins()
-        items = np.arange(7, 4096, 97, dtype=np.uint64)
-        weights = np.arange(items.size, dtype=np.float64) - 9.0
-        healthy.process_points("r", items, weights)
-        # Call 1 is the base sketch's sign pass; call 2 the hierarchy's.
-        with breaking_plane(broken, "r", fail_after=1, method="point_signs"):
-            broken.process_points("r", items, weights)
-        assert np.array_equal(self._levels(broken), self._levels(healthy))
-        assert np.array_equal(
-            broken.sketch_of("r").values(), healthy.sketch_of("r").values()
+    def test_no_exception_escapes_under_quarantine(self):
+        processor = self._processor("quarantine")
+        before = processor.sketch_of("r").values().tobytes()
+        quarantined = _counter("stream.ingest.quarantined_total")
+        with breaking_plane(processor, "r", fail_after=0):
+            processor.process_points("r", np.arange(64, dtype=np.uint64))
+        [record] = processor.dead_letters
+        assert (record.relation, record.kind, record.code) == (
+            "r", "points", "apply-failed",
         )
-        [incident] = broken.incidents
-        assert (incident.operation, incident.relation, incident.recovered) == (
-            "hierarchy", "r", True,
-        )
-        assert "point_signs" in incident.error
+        assert "InjectedFault" in record.reason
+        assert _counter("stream.ingest.quarantined_total") == quarantined + 1
+        assert processor.sketch_of("r").values().tobytes() == before
+
+    @pytest.mark.parametrize("policy", ["quarantine", "raise"])
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda p: p.process_point("r", 77, 2.5),
+            lambda p: p.process_interval("r", 5, 900, -1.5),
+            lambda p: p.process_points("r", np.arange(30, dtype=np.uint64)),
+            lambda p: p.process_intervals("r", [[0, 9], [40, 400], [7, 8]]),
+        ],
+        ids=["point", "interval", "points", "intervals"],
+    )
+    def test_failed_write_is_never_logged(self, tmp_path, policy, operation):
+        """The write fails while forming: the counters, the hierarchy and
+        the WAL are untouched, and recovery reproduces the live state."""
+        directory = str(tmp_path / "state")
+        processor = self._with_hierarchy(policy, durability=directory)
+        before = self._state(processor)
+        applied = processor.stats()["applied_seq"]
+        with breaking_plane(processor, "r", method=self.KERNELS):
+            if policy == "raise":
+                with pytest.raises(ApplyError) as caught:
+                    operation(processor)
+                assert isinstance(caught.value.__cause__, InjectedFault)
+            else:
+                operation(processor)
+                assert processor.dead_letters.counts == {"apply-failed": 1}
+        assert self._state(processor) == before
+        assert processor.stats()["applied_seq"] == applied
+        processor.close()
+        recovered = StreamProcessor.recover(directory)
+        assert recovered.stats()["applied_seq"] == applied
+        assert self._state(recovered) == before
 
     @pytest.mark.parametrize(
         "feed",
@@ -179,31 +184,29 @@ class TestDegradationGuarantees:
         ids=["tall-points", "interval"],
     )
     def test_hierarchy_fast_path_failing_partway_commits_nothing(self, feed):
-        healthy, broken = self._hierarchy_twins()
-        feed(healthy)
+        """The base sketch's counters are formed, the hierarchy's fail:
+        neither is committed."""
+        processor = self._with_hierarchy()
+        before = self._state(processor)
         with breaking_plane(
-            broken, "r", fail_after=3, method=("point_signs", "interval_totals")
+            processor, "r", fail_after=3, method=("point_signs", "interval_totals")
         ):
-            feed(broken)
-        assert np.array_equal(self._levels(broken), self._levels(healthy))
-        assert [
-            (i.operation, i.relation, i.recovered) for i in broken.incidents
-        ] == [("hierarchy", "r", True)]
+            feed(processor)
+        assert self._state(processor) == before
+        assert processor.dead_letters.counts == {"apply-failed": 1}
 
-    def test_descents_answer_through_a_broken_plane(self):
-        """Descents fall back to the generators' signs: same answers."""
-        processor, _ = self._hierarchy_twins()
-        processor.process_points("r", np.arange(40, dtype=np.uint64) % 5)
+    def test_descents_raise_through_a_broken_plane(self):
+        """No second sign source: a failing descent raises."""
+        processor = self._with_hierarchy()
         hierarchy = processor.hierarchy_of("r")
-        hitters = processor.heavy_hitters("r", 5.0)
-        median = processor.quantile("r", 0.5)
-        total = hierarchy.total()
-        assert hitters
         with breaking_plane(processor, "r", fail_after=0, method="point_signs"):
-            assert processor.heavy_hitters("r", 5.0) == hitters
-            assert processor.quantile("r", 0.5) == median
-            assert hierarchy.total() == total
-        assert len(processor.incidents) == 0
+            with pytest.raises(InjectedFault):
+                processor.heavy_hitters("r", 5.0)
+            with pytest.raises(InjectedFault):
+                processor.quantile("r", 0.5)
+            with pytest.raises(InjectedFault):
+                hierarchy.total()
+        assert processor.heavy_hitters("r", 0.5)
 
     def test_breaking_plane_restores_the_plane(self):
         processor = self._processor()
@@ -216,18 +219,18 @@ class TestDegradationGuarantees:
         assert plane._parity is kernel
         assert "point_signs" not in vars(plane)
         processor.process_points("r", np.arange(64, dtype=np.uint64))
-        assert len(processor.incidents) == 0
+        assert processor.dead_letters.total == 0
 
     @pytest.mark.parametrize("policy", ["quarantine", "raise"])
     @pytest.mark.parametrize(
         "operation, channel_method, fail_on",
         [
-            # 3 x 16 counters: the scalar path dies on cell 20 of 48.
+            # 3 x 16 counters: the channel path dies on cell 20 of 48.
             (lambda p: p.process_point("r", 77, 2.5), "point", 20),
             (lambda p: p.process_interval("r", 5, 900, -1.5), "interval", 20),
             (lambda p: p.process_points("r", np.arange(30, dtype=np.uint64)),
              "points", 20),
-            # Three intervals: the scalar path dies inside the second.
+            # Three intervals: the channel path dies inside the second.
             (lambda p: p.process_intervals("r", [[0, 9], [40, 400], [7, 8]]),
              "interval", 60),
         ],
@@ -236,9 +239,11 @@ class TestDegradationGuarantees:
     def test_failed_scalar_write_leaves_counters_untouched(
         self, monkeypatch, policy, operation, channel_method, fail_on
     ):
-        """The plane fails, then a channel of the scalar retry raises
-        partway through the grid: no counter may have moved."""
-        processor = self._processor(policy)
+        """RM7 has no packed plane, so its writes sum the channels one
+        cell at a time: a channel raising partway through the grid must
+        leave every counter as it was."""
+        processor = self._processor(policy, scheme="rm7")
+        assert processor.scheme_of("r").plane() is None
         processor.process_points("r", np.arange(0, 4000, 37, dtype=np.uint64))
         before = processor.sketch_of("r").values().tobytes()
         calls = {"n": 0}
@@ -256,27 +261,14 @@ class TestDegradationGuarantees:
             for channel in row:
                 original = getattr(channel, channel_method)
                 monkeypatch.setattr(channel, channel_method, failing_on_kth(original))
-        with breaking_plane(
-            processor, "r", method=("point_totals", "interval_totals")
-        ):
-            if policy == "raise":
-                with pytest.raises(RuntimeError, match="channel failure"):
-                    operation(processor)
-            else:
+        if policy == "raise":
+            with pytest.raises(ApplyError, match="channel failure"):
                 operation(processor)
+        else:
+            operation(processor)
         assert calls["n"] == fail_on
         assert processor.sketch_of("r").values().tobytes() == before
-        [incident] = processor.incidents
-        assert not incident.recovered
         assert len(processor.dead_letters) == (1 if policy == "quarantine" else 0)
-
-    def test_raise_policy_still_degrades_silently(self):
-        """Degradation is not a policy matter: fast-path failures fall
-        back even under ``raise`` (only double failures propagate)."""
-        processor = self._processor("raise")
-        with breaking_plane(processor, "r", fail_after=0):
-            processor.process_points("r", np.arange(16, dtype=np.uint64))
-        assert len(processor.incidents) == 1
 
     def test_torn_tail_then_corrupt_byte_distinct(self, tmp_path):
         """Torn tail is tolerated; the same bytes flipped mid-segment in
