@@ -5,7 +5,9 @@ a scheme (the seeds), ships it as JSON, every site sketches its local
 tuples, ships its counters back, and the coordinator adds the sketches --
 the sum IS the sketch of the union.  This demo simulates three sensor
 sites estimating the size of join between their combined readings and a
-reference relation, exchanging only JSON strings; the coordinator
+reference relation, exchanging only bytes: the scheme as JSON text, the
+counters in the typed envelope the cluster frames use (8 bytes per
+counter, :func:`repro.stream.durability.encode_envelope`); the coordinator
 answers through the typed query engine (:mod:`repro.query.engine`), so
 the join size arrives as an :class:`~repro.query.types.Estimate` with
 its confidence band.
@@ -29,6 +31,7 @@ from repro.sketch.serialize import (
     sketch_from_dict,
     sketch_to_dict,
 )
+from repro.stream.durability import decode_envelope, encode_envelope
 from repro.stream.exact import join_size
 
 DOMAIN_BITS = 12
@@ -37,13 +40,13 @@ AVERAGES = 150
 SITES = 3
 
 
-def site_process(wire_scheme: str, readings: np.ndarray) -> str:
+def site_process(wire_scheme: str, readings: np.ndarray) -> bytes:
     """What each site runs: rebuild the scheme, sketch, serialize."""
     scheme = scheme_from_dict(json.loads(wire_scheme))
     sketch = scheme.sketch()
     bulk_point_update(sketch, readings.astype(np.uint64))
     # Values only: the coordinator already holds the seeds.
-    return json.dumps(sketch_to_dict(sketch, include_scheme=False))
+    return encode_envelope(sketch_to_dict(sketch, include_scheme=False))
 
 
 def main() -> None:
@@ -75,9 +78,11 @@ def main() -> None:
     print(f"sites: {SITES} sketches shipped back ({sizes} bytes)")
 
     # Coordinator: merge (sum) the site sketches.
-    merged = sketch_from_dict(json.loads(wire_sketches[0]), scheme=scheme)
+    merged = sketch_from_dict(decode_envelope(wire_sketches[0]), scheme=scheme)
     for wire in wire_sketches[1:]:
-        merged = merged.combined(sketch_from_dict(json.loads(wire), scheme=scheme))
+        merged = merged.combined(
+            sketch_from_dict(decode_envelope(wire), scheme=scheme)
+        )
 
     # Reference relation known at the coordinator.
     reference = rng.integers(0, domain, size=50_000)

@@ -80,6 +80,7 @@ from repro.query.types import (
 )
 from repro.sketch.ams import SketchMatrix
 from repro.sketch.serialize import scheme_fingerprint, sketch_from_dict
+from repro.stream.durability import wire_items
 from repro.stream.errors import SchemeMismatchError, UnknownRelationError
 from repro.stream.processor import QueryHandle, StreamProcessor
 from repro.stream.validation import (
@@ -92,7 +93,34 @@ from repro.stream.validation import (
     screen_points,
 )
 
-__all__ = ["ClusterConfig", "ClusterAnswer", "ClusterProcessor"]
+__all__ = ["ClusterConfig", "ClusterAnswer", "ClusterProcessor", "split_intervals"]
+
+
+def split_intervals(
+    bounds: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clip a ``(n, 2)`` uint64 interval batch at multiples of ``width``.
+
+    Returns ``(shards, pieces, owners)``: for each piece, the shard
+    ``low // width`` holding it, its ``[low, high]`` bounds, and the row
+    of ``bounds`` it came from.  Pieces are ordered by interval, then by
+    shard, so selecting one shard's pieces keeps the batch order.
+    """
+    if width >> 64:  # one shard spans a whole 64-bit domain
+        return np.zeros(len(bounds), np.int64), bounds, np.arange(len(bounds))
+    step = np.uint64(width)
+    lows, highs = bounds[:, 0], bounds[:, 1]
+    first = lows // step
+    spans = (highs // step - first).astype(np.int64) + 1
+    owners = np.repeat(np.arange(len(bounds)), spans)
+    offsets = np.arange(owners.size) - np.repeat(np.cumsum(spans) - spans, spans)
+    shards = first[owners] + offsets.astype(np.uint64)
+    starts = shards * step
+    pieces = np.empty((owners.size, 2), dtype=np.uint64)
+    np.maximum(lows[owners], starts, out=pieces[:, 0])
+    # starts + min(high - start, width - 1): never past 2^64 - 1.
+    pieces[:, 1] = starts + np.minimum(highs[owners] - starts, step - np.uint64(1))
+    return shards.astype(np.int64), pieces, owners
 
 
 @dataclass(frozen=True)
@@ -372,6 +400,8 @@ class ClusterProcessor:
             width = self._widths[relation]
             owners = (screened.items // np.uint64(width)).astype(np.int64)
             np.minimum(owners, len(self._shards) - 1, out=owners)
+            items = wire_items(screened.items, self._domain_bits[relation])
+            weights = screened.weights
             for sid, shard in enumerate(self._shards):
                 mask = owners == sid
                 if not bool(mask.any()):
@@ -381,12 +411,8 @@ class ClusterProcessor:
                     {
                         "kind": "points",
                         "relation": relation,
-                        "items": [int(i) for i in screened.items[mask]],
-                        "weights": (
-                            None
-                            if screened.weights is None
-                            else [float(w) for w in screened.weights[mask]]
-                        ),
+                        "items": items[mask],
+                        "weights": None if weights is None else weights[mask],
                     },
                 )
         obs.counter("cluster.ingest.batches_total").inc()
@@ -410,31 +436,21 @@ class ClusterProcessor:
         if screened.items.shape[0] == 0:
             return
         with obs.span("cluster.ingest", relation=relation, op="intervals"):
-            width = self._widths[relation]
-            per_shard: dict[int, tuple[list[list[int]], list[float]]] = {}
-            for position, bounds in enumerate(screened.items):
-                low, high = int(bounds[0]), int(bounds[1])
-                scale = (
-                    1.0
-                    if screened.weights is None
-                    else float(screened.weights[position])
-                )
-                for sid in range(low // width, high // width + 1):
-                    piece_low = max(low, sid * width)
-                    piece_high = min(high, (sid + 1) * width - 1)
-                    pieces, scales = per_shard.setdefault(sid, ([], []))
-                    pieces.append([piece_low, piece_high])
-                    scales.append(scale)
-            for sid in sorted(per_shard):
-                pieces, scales = per_shard[sid]
+            shards, pieces, owners = split_intervals(
+                screened.items, self._widths[relation]
+            )
+            pieces = wire_items(pieces, self._domain_bits[relation])
+            weights = screened.weights
+            for sid in np.unique(shards).tolist():
+                mask = shards == sid
                 self._post(
                     self._shards[sid],
                     {
                         "kind": "intervals",
                         "relation": relation,
-                        "intervals": pieces,
+                        "intervals": pieces[mask],
                         "weights": (
-                            None if screened.weights is None else scales
+                            None if weights is None else weights[owners[mask]]
                         ),
                     },
                 )

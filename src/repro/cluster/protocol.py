@@ -4,12 +4,17 @@ Every message -- command or reply -- travels as one *frame* over a
 message-boundary-preserving byte channel (a ``multiprocessing``
 connection, or an in-process queue in inline mode)::
 
-    +--------------+--------------+----------------+
-    | crc32  (u32) | seq    (u64) | payload (JSON) |
-    +--------------+--------------+----------------+
+    +--------------+--------------+--------------------+
+    | crc32  (u32) | seq    (u64) | payload (envelope) |
+    +--------------+--------------+--------------------+
 
 little-endian, with ``crc32`` computed over ``seq || payload``.  The
-``seq`` is a per-link nonce chosen by the coordinator; a reply echoes
+payload is the message in the typed envelope of
+:mod:`repro.stream.durability`: a canonical-JSON header followed by the
+raw little-endian buffers of its arrays, so a shipped counter grid or a
+posted point batch travels as bytes (8 per counter, 4 or 8 per point),
+not as a JSON list.  The ``seq`` is a per-link nonce chosen by the
+coordinator; a reply echoes
 the seq of the command it answers, which is how replies are matched to
 requests over a pipelined channel.  A frame that fails the CRC raises
 :class:`~repro.cluster.errors.FrameCorruptionError` and is dropped --
@@ -41,13 +46,13 @@ not retriable).
 
 from __future__ import annotations
 
-import json
 import struct
 import zlib
 from typing import Any
 
 from repro.cluster.errors import FrameCorruptionError
-from repro.stream.durability import canonical_json
+from repro.stream.durability import decode_envelope, encode_envelope
+from repro.stream.errors import EnvelopeError
 
 __all__ = [
     "MUTATING_KINDS",
@@ -65,18 +70,23 @@ _HEADER = struct.Struct("<IQ")
 MUTATING_KINDS = frozenset({"register", "points", "intervals"})
 
 
+def _crc(seq: int, payload: bytes) -> int:
+    return zlib.crc32(payload, zlib.crc32(seq.to_bytes(8, "little")))
+
+
 def encode_frame(seq: int, message: dict[str, Any]) -> bytes:
     """Frame one message: ``crc32(seq || payload) + seq + payload``."""
-    payload = canonical_json(message).encode("utf-8")
-    crc = zlib.crc32(seq.to_bytes(8, "little") + payload) & 0xFFFFFFFF
-    return _HEADER.pack(crc, seq) + payload
+    payload = encode_envelope(message)
+    return _HEADER.pack(_crc(seq, payload), seq) + payload
 
 
 def decode_frame(frame: bytes) -> tuple[int, dict[str, Any]]:
     """Decode one frame into ``(seq, message)``; CRC-verified.
 
     Raises :class:`FrameCorruptionError` on short frames, CRC
-    mismatches, and undecodable payloads.
+    mismatches, and undecodable payloads -- an envelope whose arrays
+    overrun, underrun or trail the payload included.  Arrays in the
+    message are read-only views of the frame.
     """
     if len(frame) < _HEADER.size:
         raise FrameCorruptionError(
@@ -84,15 +94,15 @@ def decode_frame(frame: bytes) -> tuple[int, dict[str, Any]]:
         )
     crc, seq = _HEADER.unpack_from(frame)
     payload = frame[_HEADER.size:]
-    expected = zlib.crc32(seq.to_bytes(8, "little") + payload) & 0xFFFFFFFF
+    expected = _crc(seq, payload)
     if crc != expected:
         raise FrameCorruptionError(
             f"frame crc mismatch (recorded {crc:#010x}, computed "
             f"{expected:#010x})"
         )
     try:
-        message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        message = decode_envelope(payload)
+    except EnvelopeError as exc:
         raise FrameCorruptionError(f"undecodable frame payload: {exc}") from exc
     if not isinstance(message, dict) or "kind" not in message:
         raise FrameCorruptionError("frame payload is not a command object")

@@ -3,24 +3,33 @@
 Distributed sketching (paper Section 2.1) only works if every party uses
 the SAME seeds: the coordinator fixes a scheme, ships it to the sites,
 each site sketches its local data, and the numeric sketches are added.
-This module provides the shipping format: plain JSON-compatible dicts
-with explicit seed material, round-trippable bit-for-bit.
+This module provides the shipping format: dicts with explicit seed
+material, round-trippable bit-for-bit.  Scheme and generator dicts are
+plain JSON; a sketch dict carries its counters as a float64 ndarray,
+which the typed envelope (:func:`repro.stream.durability.encode_envelope`,
+used by cluster frames) ships as raw little-endian bytes and
+:func:`~repro.stream.durability.canonical_json` (used by snapshots)
+writes as nested lists.
 
 Supported channel kinds: direct generators (all six schemes), DMAP, and
 their d-dimensional products.
 
 Wire-format integrity (the durability layer builds on these guarantees):
 
-* scheme and sketch envelopes carry ``"version"`` (currently 1; absent
+* scheme and sketch envelopes carry ``"version"`` (currently 2; absent
   means the pre-versioned v0 format, still accepted);
 * :func:`scheme_fingerprint` derives a stable content hash of a scheme's
   seed material, shipped inside every sketch so a receiver can refuse to
   merge counters built under different seeds
   (:meth:`repro.stream.processor.StreamProcessor.merge_sketch` enforces
   this);
-* sketches carry a CRC32 ``"checksum"`` over their canonical counter
-  values, and :func:`sketch_from_dict` rejects non-finite counters -- a
-  corrupted shipped sketch cannot poison a merge.
+* sketches carry a CRC32 ``"checksum"`` over their counters' ``<f8``
+  bytes (version 2; a version-1 sketch is verified against the CRC of
+  its JSON text), and
+  :func:`sketch_from_dict` rejects non-finite counters -- a corrupted
+  shipped sketch cannot poison a merge.  A JSON snapshot's lists parse
+  back to the same float64 bytes, so it verifies against the same
+  number as a binary frame.
 """
 
 from __future__ import annotations
@@ -61,7 +70,8 @@ __all__ = [
 #: Current wire-format version of scheme/sketch envelopes.  Absent
 #: version fields mean the pre-versioned v0 format and are accepted;
 #: versions newer than this are rejected with a descriptive error.
-SERIALIZE_VERSION = 1
+#: Version 2 checksums the counters' bytes instead of their JSON text.
+SERIALIZE_VERSION = 2
 
 
 def _check_version(data: dict[str, Any], what: str) -> None:
@@ -74,7 +84,12 @@ def _check_version(data: dict[str, Any], what: str) -> None:
 
 
 def values_checksum(values: Any) -> int:
-    """CRC32 over the canonical JSON of a counter-value grid."""
+    """CRC32 over a counter grid's little-endian float64 bytes."""
+    return zlib.crc32(np.asarray(values, dtype="<f8").tobytes())
+
+
+def _v1_values_checksum(values: Any) -> int:
+    """CRC32 over a counter grid's JSON text (version-1 sketches)."""
     canonical = json.dumps(
         np.asarray(values, dtype=np.float64).tolist(),
         separators=(",", ":"),
@@ -180,7 +195,9 @@ def scheme_fingerprint(scheme: SketchScheme) -> str:
 def sketch_to_dict(
     sketch: SketchMatrix, include_scheme: bool = True
 ) -> dict[str, Any]:
-    """Serialize a sketch: its counter values, plus (optionally) the scheme.
+    """Serialize a sketch: its counters, plus (optionally) the scheme.
+
+    ``values`` is a float64 copy of the ``(medians, averages)`` grid.
 
     With ``include_scheme=False`` only the numeric counters are shipped --
     the right choice when the receiver already holds the scheme (it
@@ -190,7 +207,7 @@ def sketch_to_dict(
     values, so the receiver can verify provenance and integrity either
     way.
     """
-    values = sketch.table.tolist()
+    values = sketch.table.copy()
     data: dict[str, Any] = {
         "kind": "sketch",
         "version": SERIALIZE_VERSION,
@@ -242,9 +259,12 @@ def sketch_from_dict(
             "(NaN/Inf); refusing to deserialize a corrupted sketch"
         )
     recorded_checksum = data.get("checksum")
-    if recorded_checksum is not None and recorded_checksum != values_checksum(
-        values
-    ):
+    checksum = (
+        values_checksum(sketch.table)
+        if data.get("version", 0) >= 2
+        else _v1_values_checksum(values)
+    )
+    if recorded_checksum is not None and recorded_checksum != checksum:
         raise ValueError(
             "sketch counter checksum mismatch: the values were corrupted "
             "in transit or at rest"

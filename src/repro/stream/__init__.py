@@ -4,6 +4,7 @@ from repro.stream.durability import DurabilityConfig, WriteAheadLog
 from repro.stream.errors import (
     ApplyError,
     DurabilityError,
+    EnvelopeError,
     InjectedFault,
     InvalidUpdateError,
     RecoveryError,
@@ -60,6 +61,7 @@ __all__ = [
     "DurabilityError",
     "WALCorruptionError",
     "SnapshotCorruptionError",
+    "EnvelopeError",
     "RecoveryError",
     "InjectedFault",
     "POLICIES",

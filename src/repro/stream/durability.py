@@ -8,15 +8,36 @@ makes that state durable with the classical WAL + checkpoint recipe:
 segmented, append-only log *before* it touches the sketch counters.  A
 record is::
 
-    +---------------+---------------+---------------+----------------+
-    | length  (u32) | crc32   (u32) | seq     (u64) | payload (JSON) |
-    +---------------+---------------+---------------+----------------+
+    +---------------+---------------+---------------+--------------------+
+    | length  (u32) | crc32   (u32) | seq     (u64) | payload (envelope) |
+    +---------------+---------------+---------------+--------------------+
 
 little-endian, with ``crc32`` computed over ``seq || payload``.  Sequence
 numbers are assigned once, strictly increasing, and never reused -- they
 are what makes replay *exactly-once*.  Segments are named by the first
 sequence number they hold (``wal-<seq:016x>.seg``) and rotate at a size
 threshold, so old segments can be deleted wholesale after a checkpoint.
+The payload is one operation in the typed envelope (below); a payload
+starting with ``{`` is a v1 record -- canonical JSON text, as written
+before envelopes existed -- and is still replayed, so a durable
+directory survives the upgrade.
+
+**Typed envelope.**  One message -- a WAL operation, or a cluster frame's
+command or reply (:mod:`repro.cluster.protocol`) -- is::
+
+    +-------------+---------------------+----------------+------------------+
+    | 0x82   (u8) | header length (u32) | header (JSON)  | array buffers    |
+    +-------------+---------------------+----------------+------------------+
+
+The first byte is the envelope's magic and version (high bit set, so it
+is never the first byte of JSON text; version 2).  The header is the
+message as canonical JSON, with each ndarray replaced by
+``{"$array": k, "dtype": ..., "shape": [...]}``; array ``k``'s raw
+little-endian buffer is the ``k``-th of the buffers that follow, which
+fill the rest of the payload exactly.  Dtypes are limited to
+:data:`ENVELOPE_DTYPES`.  Counter grids, point batches and interval
+bounds therefore cross the disk and process boundaries as bytes, not as
+JSON lists of numbers.
 
 **Snapshots.**  A checkpoint serializes the processor's state (ordered
 registrations, query handles, per-relation counters via
@@ -31,12 +52,15 @@ to the previous one); the processor then replays WAL records with
 crash mid-append -- is detected by framing/CRC checks and tolerated (the
 tail is truncated on reopen); corruption anywhere else raises
 :class:`~repro.stream.errors.WALCorruptionError` because it means data
-loss that must not pass silently.
+loss that must not pass silently.  A record that passes its CRC but
+does not decode (:func:`decode_wal_payload`) fails the replay with
+:class:`~repro.stream.errors.RecoveryError` naming its sequence number.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -48,6 +72,7 @@ import numpy as np
 from repro import obs
 from repro.stream.errors import (
     DurabilityError,
+    EnvelopeError,
     SnapshotCorruptionError,
     WALCorruptionError,
 )
@@ -56,46 +81,177 @@ __all__ = [
     "DurabilityConfig",
     "WriteAheadLog",
     "encode_record",
-    "decode_payload",
     "write_snapshot",
     "load_latest_snapshot",
     "list_snapshots",
     "canonical_json",
+    "ENVELOPE_DTYPES",
+    "encode_envelope",
+    "decode_envelope",
+    "decode_wal_payload",
+    "wire_items",
 ]
 
 _HEADER = struct.Struct("<IIQ")
+_ENVELOPE_HEAD = struct.Struct("<BI")
+_ENVELOPE_MAGIC = 0x82
+
+#: The array dtypes an envelope carries: point batches and interval
+#: bounds (``<u4``/``<u8``), signed integers, and counters and weights.
+ENVELOPE_DTYPES = frozenset({"<u4", "<u8", "<i8", "<f8"})
+_ARRAY_KEYS = frozenset({"$array", "dtype", "shape"})
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".seg"
 _SNAPSHOT_PREFIX = "snap-"
 _SNAPSHOT_SUFFIX = ".json"
 
 
+def _coerce_scalar(obj: Any) -> Any:
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+
+
+def _json(value: Any, default: Any) -> str:
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":"), default=default
+    )
+
+
 def canonical_json(value: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace, numpy coerced."""
 
-    def coerce(obj: Any):
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.floating):
-            return float(obj)
+    def coerce(obj: Any) -> Any:
         if isinstance(obj, np.ndarray):
             return obj.tolist()
-        raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+        return _coerce_scalar(obj)
 
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), default=coerce
+    return _json(value, coerce)
+
+
+def encode_envelope(message: Any) -> bytes:
+    """Pack a message into the typed envelope (see the module docstring).
+
+    Every ndarray in ``message`` travels as its raw little-endian buffer;
+    an array whose dtype is not in :data:`ENVELOPE_DTYPES` raises
+    :class:`TypeError`.
+    """
+    buffers: list[bytes] = []
+
+    def lift(obj: Any) -> Any:
+        if not isinstance(obj, np.ndarray):
+            return _coerce_scalar(obj)
+        dtype = obj.dtype.newbyteorder("<")
+        if dtype.str not in ENVELOPE_DTYPES:
+            raise TypeError(
+                f"envelope arrays must be one of {sorted(ENVELOPE_DTYPES)}, "
+                f"got {obj.dtype.str}"
+            )
+        buffers.append(obj.astype(dtype, copy=False).tobytes())
+        return {
+            "$array": len(buffers) - 1,
+            "dtype": dtype.str,
+            "shape": list(obj.shape),
+        }
+
+    header = _json(message, lift).encode("utf-8")
+    return b"".join(
+        [_ENVELOPE_HEAD.pack(_ENVELOPE_MAGIC, len(header)), header, *buffers]
     )
+
+
+def decode_envelope(payload: bytes) -> Any:
+    """Unpack :func:`encode_envelope` output; arrays come back read-only.
+
+    Each array is an ``np.frombuffer`` view of ``payload``: copy it before
+    writing into it.  Raises :class:`~repro.stream.errors.EnvelopeError`
+    when the magic byte, the header, a dtype or the buffers disagree --
+    arrays that overrun the payload, or bytes left after the last one.
+    """
+    size = len(payload)
+    if size < _ENVELOPE_HEAD.size:
+        raise EnvelopeError(f"envelope of {size} bytes is shorter than its head")
+    magic, length = _ENVELOPE_HEAD.unpack_from(payload)
+    if magic != _ENVELOPE_MAGIC:
+        raise EnvelopeError(f"unknown envelope magic byte {magic:#04x}")
+    start = _ENVELOPE_HEAD.size
+    offset = start + length
+    if offset > size:
+        raise EnvelopeError(
+            f"envelope header of {length} bytes overruns a {size}-byte payload"
+        )
+    placed = 0
+
+    def place(obj: dict[str, Any]) -> Any:
+        nonlocal offset, placed
+        if obj.keys() != _ARRAY_KEYS:
+            return obj
+        index, dtype, shape = obj["$array"], obj["dtype"], obj["shape"]
+        if type(index) is not int or index != placed:
+            raise EnvelopeError(f"array reference {obj!r} out of order")
+        if dtype not in ENVELOPE_DTYPES:
+            raise EnvelopeError(f"array dtype {dtype!r} is not an envelope dtype")
+        if not isinstance(shape, list) or not all(
+            type(extent) is int and extent >= 0 for extent in shape
+        ):
+            raise EnvelopeError(f"array shape {shape!r} is not a shape")
+        count = math.prod(shape)
+        end = offset + count * np.dtype(dtype).itemsize
+        if end > size:
+            raise EnvelopeError(
+                f"array {placed} of shape {shape} overruns the payload "
+                f"by {end - size} bytes"
+            )
+        array = np.frombuffer(payload, dtype, count, offset).reshape(shape)
+        offset = end
+        placed += 1
+        return array
+
+    try:
+        header = payload[start:offset].decode("utf-8")
+        # Only a header that names an array needs the per-object hook.
+        hook = place if '"$array"' in header else None
+        message = json.loads(header, object_hook=hook)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise EnvelopeError(f"undecodable envelope header: {exc}") from exc
+    if offset != size:
+        raise EnvelopeError(
+            f"{size - offset} bytes trail the envelope's last array"
+        )
+    return message
+
+
+def decode_wal_payload(payload: bytes) -> Any:
+    """The operation one WAL record carries.
+
+    A payload starting with ``{`` is a v1 record, canonical JSON text;
+    any other payload must be a typed envelope.  Undecodable payloads
+    raise :class:`ValueError` (an ``EnvelopeError``, a
+    ``JSONDecodeError`` or a ``UnicodeDecodeError``).
+    """
+    if payload[:1] == b"{":
+        return json.loads(payload)
+    return decode_envelope(payload)
+
+
+def wire_items(items: np.ndarray, domain_bits: int) -> np.ndarray:
+    """Points or interval bounds in the narrowest envelope dtype.
+
+    ``<u4`` when every value fits 32 bits (``domain_bits <= 32``), else
+    ``<u8``: a 20-bit point batch ships 4 bytes per point.
+    """
+    return items.astype("<u4" if domain_bits <= 32 else "<u8", copy=False)
+
+
+def _record_crc(seq: int, payload: bytes) -> int:
+    return zlib.crc32(payload, zlib.crc32(seq.to_bytes(8, "little")))
 
 
 def encode_record(seq: int, payload: bytes) -> bytes:
     """Frame one WAL record: length + crc32(seq || payload) + seq + payload."""
-    crc = zlib.crc32(seq.to_bytes(8, "little") + payload) & 0xFFFFFFFF
-    return _HEADER.pack(len(payload), crc, seq) + payload
-
-
-def decode_payload(op: dict[str, Any]) -> bytes:
-    """Serialize one operation dict into WAL payload bytes."""
-    return canonical_json(op).encode("utf-8")
+    return _HEADER.pack(len(payload), _record_crc(seq, payload), seq) + payload
 
 
 @dataclass(frozen=True)
@@ -153,8 +309,7 @@ def _scan_segment(path: str, final: bool) -> tuple[list[tuple[int, bytes]], int]
         if end > len(data):
             break  # torn payload
         payload = data[start:end]
-        expected = zlib.crc32(seq.to_bytes(8, "little") + payload) & 0xFFFFFFFF
-        if crc != expected:
+        if crc != _record_crc(seq, payload):
             obs.counter("durability.wal.crc_failures_total").inc()
             break  # corrupted record: treated as log end below
         records.append((seq, payload))
@@ -358,7 +513,7 @@ def write_snapshot(
         envelope = {"version": 1, "seq": seq, "state": state}
         body = canonical_json(envelope)
         crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-        document = json.dumps({"crc": crc, "envelope": envelope})
+        document = f'{{"crc":{crc},"envelope":{body}}}'
         path = _snapshot_path(directory, seq)
         temp = path + ".tmp"
         with open(temp, "w") as handle:

@@ -5,7 +5,7 @@ state holder for an unbounded stream, so every failure mode gets its own
 exception type: callers can tell *bad input* (:class:`InvalidUpdateError`,
 :class:`UnknownRelationError`, :class:`SchemeMismatchError`) from *damaged
 durable state* (:class:`WALCorruptionError`, :class:`SnapshotCorruptionError`,
-:class:`RecoveryError`) from *a bug on the write path*
+:class:`EnvelopeError`, :class:`RecoveryError`) from *a bug on the write path*
 (:class:`ApplyError`) and react per class -- quarantine the first,
 page an operator for the others.
 
@@ -24,6 +24,7 @@ __all__ = [
     "DurabilityError",
     "WALCorruptionError",
     "SnapshotCorruptionError",
+    "EnvelopeError",
     "RecoveryError",
     "InjectedFault",
 ]
@@ -84,6 +85,15 @@ class WALCorruptionError(DurabilityError):
 
 class SnapshotCorruptionError(DurabilityError):
     """A snapshot file failed its CRC or envelope checks."""
+
+
+class EnvelopeError(DurabilityError, ValueError):
+    """A typed envelope's magic byte, header or array buffers disagree.
+
+    Raised by :func:`repro.stream.durability.decode_envelope`; a cluster
+    frame reports it as ``FrameCorruptionError`` and WAL recovery as
+    :class:`RecoveryError`.
+    """
 
 
 class RecoveryError(DurabilityError):

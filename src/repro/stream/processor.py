@@ -81,9 +81,12 @@ from repro.sketch.serialize import (
 from repro.stream.durability import (
     DurabilityConfig,
     WriteAheadLog,
-    canonical_json,
+    canonical_json,  # noqa: F401 -- bound by name for the benchmarks/e2e ledger
+    decode_wal_payload,
+    encode_envelope,
     list_snapshots,
     load_latest_snapshot,
+    wire_items,
     write_snapshot,
 )
 from repro.stream.errors import (
@@ -366,7 +369,18 @@ class StreamProcessor:
                         f"found {seq} (segments pruned too far?)"
                     )
                 expected = seq + 1
-                processor._commit(json.loads(payload.decode("utf-8")))
+                try:
+                    op = decode_wal_payload(payload)
+                except ValueError as exc:
+                    raise RecoveryError(
+                        f"WAL record {seq} passed its CRC but does not "
+                        f"decode: {exc}"
+                    ) from exc
+                if not isinstance(op, dict) or "op" not in op:
+                    raise RecoveryError(
+                        f"WAL record {seq} holds no operation"
+                    )
+                processor._commit(op)
                 processor._applied_seq = seq
                 replayed += 1
             processor._replaying = False
@@ -448,7 +462,7 @@ class StreamProcessor:
                 swap = self._deferred(op)
         seq = 0
         if self._wal is not None and not self._replaying:
-            seq = self._wal.append(canonical_json(op).encode("utf-8"))
+            seq = self._wal.append(encode_envelope(op))
         swap()
         if seq:
             self._applied_seq = seq
@@ -663,12 +677,10 @@ class StreamProcessor:
             {
                 "op": "points",
                 "relation": relation,
-                "items": [int(i) for i in screened.items],
-                "weights": (
-                    None
-                    if screened.weights is None
-                    else [float(w) for w in screened.weights]
+                "items": wire_items(
+                    screened.items, self._domain_bits[relation]
                 ),
+                "weights": screened.weights,
             }
         ):
             return
@@ -693,14 +705,10 @@ class StreamProcessor:
             {
                 "op": "intervals",
                 "relation": relation,
-                "intervals": [
-                    [int(a), int(b)] for a, b in screened.items
-                ],
-                "weights": (
-                    None
-                    if screened.weights is None
-                    else [float(w) for w in screened.weights]
+                "intervals": wire_items(
+                    screened.items, self._domain_bits[relation]
                 ),
+                "weights": screened.weights,
             }
         ):
             return
@@ -751,7 +759,7 @@ class StreamProcessor:
             {
                 "op": "merge",
                 "relation": relation,
-                "values": values.tolist(),
+                "values": values,
                 "fingerprint": scheme_fingerprint(mine),
             }
         )
@@ -759,7 +767,7 @@ class StreamProcessor:
     def _do_merge(
         self,
         relation: str,
-        values: list[list[float]],
+        values: Any,
         fingerprint: str | None = None,
     ) -> None:
         """Apply a committed merge (live, or replayed from the WAL).

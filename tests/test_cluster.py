@@ -92,6 +92,275 @@ class TestFrameCodec:
             decode_frame(frame)
 
 
+def _frame(seq: int, payload: bytes) -> bytes:
+    """A frame with a valid CRC around an arbitrary payload."""
+    import struct
+    import zlib
+
+    crc = zlib.crc32((seq).to_bytes(8, "little") + payload)
+    return struct.pack("<IQ", crc, seq) + payload
+
+
+def _envelope(header: dict, buffers: bytes = b"") -> bytes:
+    """A hand-built envelope: magic byte, header length, JSON header, buffers."""
+    import json
+    import struct
+
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return struct.pack("<BI", 0x82, len(text)) + text + buffers
+
+
+class TestEnvelopeFrames:
+    """The typed envelope inside a frame: arrays as bytes, every check kept."""
+
+    def test_arrays_round_trip_read_only(self):
+        message = {
+            "kind": "points",
+            "items": np.array([0, 7, 2**32 - 1], dtype="<u4"),
+            "wide": np.array([[2**63 + 5, 1]], dtype=np.uint64),
+            "signed": np.array([-3, 4], dtype=np.int64),
+            "weights": np.array([0.1, -2.5, np.inf]),
+            "nested": [{"grid": np.arange(6.0).reshape(2, 3)}],
+            "empty": np.zeros((0, 2), dtype=np.uint64),
+            "none": None,
+        }
+        seq, decoded = decode_frame(encode_frame(3, message))
+        assert seq == 3
+        assert set(decoded) == set(message)
+        for key in ("items", "wide", "signed", "weights", "empty"):
+            assert decoded[key].dtype == message[key].dtype, key
+            assert decoded[key].shape == message[key].shape, key
+            assert np.array_equal(decoded[key], message[key]), key
+            assert not decoded[key].flags.writeable, key
+        assert np.array_equal(decoded["nested"][0]["grid"], message["nested"][0]["grid"])
+        assert decoded["none"] is None
+
+    def test_big_endian_arrays_ship_little_endian(self):
+        values = np.array([1.5, -2.0], dtype=">f8")
+        _, decoded = decode_frame(encode_frame(1, {"kind": "x", "v": values}))
+        assert decoded["v"].dtype.str == "<f8"
+        assert decoded["v"].tolist() == [1.5, -2.0]
+
+    def test_dtype_outside_the_whitelist_is_refused(self):
+        for array in (np.arange(3, dtype=np.int32), np.ones(2, dtype=bool),
+                      np.ones(2, dtype=np.float32)):
+            with pytest.raises(TypeError, match="envelope arrays"):
+                encode_frame(1, {"kind": "x", "a": array})
+        header = {"kind": "x", "a": {"$array": 0, "dtype": "<i4", "shape": [2]}}
+        with pytest.raises(FrameCorruptionError, match="dtype"):
+            decode_frame(_frame(1, _envelope(header, b"\x00" * 8)))
+
+    def test_torn_frame(self):
+        frame = encode_frame(5, {"kind": "x", "a": np.arange(64, dtype=np.uint64)})
+        for cut in (1, 8, len(frame) // 2):
+            with pytest.raises(FrameCorruptionError):
+                decode_frame(frame[:-cut])
+
+    def test_flipped_byte_in_the_buffers(self):
+        frame = bytearray(
+            encode_frame(5, {"kind": "x", "a": np.arange(64, dtype=np.uint64)})
+        )
+        frame[-100] ^= 0x01
+        with pytest.raises(FrameCorruptionError, match="crc"):
+            decode_frame(bytes(frame))
+
+    @pytest.mark.parametrize(
+        "shape, buffer, match",
+        [
+            ([5], 4 * 8, "overruns"),
+            ([2, 3], 5 * 8, "overruns"),
+            ([3], 4 * 8, "trail"),
+            ([-1], 8, "not a shape"),
+            ([2.0], 16, "not a shape"),
+        ],
+        ids=["overrun", "overrun-2d", "trailing", "negative", "float-extent"],
+    )
+    def test_header_disagreeing_with_its_buffers(self, shape, buffer, match):
+        header = {"kind": "x", "a": {"$array": 0, "dtype": "<u8", "shape": shape}}
+        with pytest.raises(FrameCorruptionError, match=match):
+            decode_frame(_frame(1, _envelope(header, b"\x00" * buffer)))
+
+    def test_header_overrunning_the_payload(self):
+        payload = bytearray(_envelope({"kind": "x"}))
+        payload[1:5] = (len(payload) + 10).to_bytes(4, "little")
+        with pytest.raises(FrameCorruptionError, match="overruns"):
+            decode_frame(_frame(1, bytes(payload)))
+
+    def test_array_references_out_of_order(self):
+        header = {
+            "kind": "x",
+            "a": {"$array": 1, "dtype": "<u8", "shape": [1]},
+            "b": {"$array": 0, "dtype": "<u8", "shape": [1]},
+        }
+        with pytest.raises(FrameCorruptionError, match="out of order"):
+            decode_frame(_frame(1, _envelope(header, b"\x00" * 16)))
+
+    def test_a_reference_with_other_keys_is_a_plain_dict(self):
+        # A relation named "$array" in a health reply stays a name; the
+        # buffer no reference claims is then trailing bytes.
+        message = {"kind": "ok", "fingerprints": {"$array": "f00d", "r": "beef"}}
+        _, decoded = decode_frame(encode_frame(1, message))
+        assert decoded == message
+        header = {"kind": "x", "a": {"$array": 0, "dtype": "<u8", "shape": [1], "x": 1}}
+        with pytest.raises(FrameCorruptionError, match="trail"):
+            decode_frame(_frame(1, _envelope(header, b"\x00" * 8)))
+
+    def test_json_payload_is_not_an_envelope(self):
+        import json
+
+        payload = json.dumps({"kind": "health"}).encode()
+        with pytest.raises(FrameCorruptionError, match="magic"):
+            decode_frame(_frame(1, payload))
+
+
+class TestFrameSize:
+    """Counters and point batches ship as bytes, not JSON lists."""
+
+    @staticmethod
+    def _capture(tmp_path, averages, run):
+        requests: list[bytes] = []
+        replies: list[bytes] = []
+
+        def keep(into):
+            def intercept(frame):
+                into.append(frame)
+                return [frame]
+
+            return intercept
+
+        cluster = ClusterProcessor(
+            str(tmp_path / "cluster"), shards=2, medians=7, averages=averages,
+            seed=7,
+            transport=InlineTransport(keep(requests), keep(replies)),
+            config=inline_config(),
+        )
+        with cluster:
+            run(cluster)
+        return [decode_frame(f)[1] | {"_bytes": len(f)} for f in requests], [
+            decode_frame(f)[1] | {"_bytes": len(f)} for f in replies
+        ]
+
+    def test_shipped_7x100_grid(self, tmp_path):
+        rng = np.random.default_rng(1)
+
+        def run(cluster):
+            cluster.register_relation("r", 20)
+            cluster.ingest_points("r", rng.integers(0, 1 << 20, 500), rng.random(500))
+            cluster.merged_sketch("r")
+
+        _, replies = self._capture(tmp_path, 100, run)
+        shipped = [reply for reply in replies if "sketch" in reply]
+        assert len(shipped) == 2
+        for reply in shipped:
+            assert reply["sketch"]["values"].shape == (7, 100)
+            assert reply["_bytes"] <= 8 * 700 + 512
+
+    def test_1024_point_20_bit_ingest_command(self, tmp_path):
+        items = np.arange(1024) * 512  # all on shard 0 of 2
+
+        def run(cluster):
+            cluster.register_relation("r", 20)
+            cluster.ingest_points("r", items)
+            cluster.flush()
+
+        requests, _ = self._capture(tmp_path, 4, run)
+        [command] = [r for r in requests if r["kind"] == "points"]
+        assert command["items"].dtype.str == "<u4"
+        assert command["items"].size == 1024
+        assert command["_bytes"] <= 4 * 1024 + 512
+
+
+def _split_by_loop(bounds, weights, width):
+    """The per-interval loop the vectorized split replaced, kept as reference."""
+    per_shard = {}
+    for position, (low, high) in enumerate(bounds.tolist()):
+        scale = 1.0 if weights is None else float(weights[position])
+        for sid in range(low // width, high // width + 1):
+            pieces, scales = per_shard.setdefault(sid, ([], []))
+            pieces.append([max(low, sid * width), min(high, (sid + 1) * width - 1)])
+            scales.append(scale)
+    return [(sid, *per_shard[sid]) for sid in sorted(per_shard)]
+
+
+class _TappingTransport(InlineTransport):
+    """Inline shards that record every command frame with its shard id."""
+
+    def __init__(self):
+        super().__init__()
+        self.commands = []
+
+    def spawn(self, spec):
+        link = super().spawn(spec)
+
+        def tap(frame, sid=spec.shard_id):
+            self.commands.append((sid, decode_frame(frame)[1]))
+            return [frame]
+
+        link.request_interceptor = tap
+        return link
+
+
+class TestIntervalSplit:
+    """The vectorized clip posts the loop's pieces, in the loop's order."""
+
+    @staticmethod
+    def _posted(tmp_path, bits, shards, batches):
+        transport = _TappingTransport()
+        with ClusterProcessor(
+            str(tmp_path / "cluster"), shards=shards, medians=1, averages=2,
+            seed=7, transport=transport, config=inline_config(max_inflight=64),
+        ) as cluster:
+            cluster.register_relation("r", bits)
+            posted = []
+            for bounds, weights in batches:
+                del transport.commands[:]
+                cluster.ingest_intervals("r", bounds, weights)
+                posted.append([
+                    (
+                        sid,
+                        message["intervals"].tolist(),
+                        [1.0] * len(message["intervals"])
+                        if message["weights"] is None
+                        else message["weights"].tolist(),
+                    )
+                    for sid, message in transport.commands
+                    if message["kind"] == "intervals"
+                ])
+        return posted
+
+    @pytest.mark.parametrize("bits, shards", [(10, 3), (20, 4), (33, 5), (62, 7), (63, 2)])
+    def test_matches_the_loop_on_random_batches(self, tmp_path, bits, shards):
+        rng = np.random.default_rng(bits * 100 + shards)
+        domain = 1 << bits
+        width = -(-domain // shards)
+        batches = []
+        for trial in range(12):
+            count = int(rng.integers(3, 40))
+            ends = rng.integers(0, domain, size=(count, 2), dtype=np.uint64)
+            bounds = np.sort(ends, axis=1)
+            # Intervals spanning every shard, across one edge, and points.
+            bounds[0] = [0, domain - 1]
+            bounds[1] = [width - 1, width]
+            bounds[2] = [5, 5]
+            weights = None if trial % 2 else rng.normal(size=count)
+            batches.append((bounds, weights))
+        assert self._posted(tmp_path, bits, shards, batches) == [
+            _split_by_loop(b, w, width) for b, w in batches
+        ]
+
+    def test_one_shard_over_a_64_bit_domain(self, tmp_path):
+        bounds = np.array([[0, 2**64 - 1], [5, 9]], dtype=np.uint64)
+        assert self._posted(tmp_path, 64, 1, [(bounds, None)]) == [
+            _split_by_loop(bounds, None, 1 << 64)
+        ]
+
+    def test_empty_batch(self):
+        from repro.cluster.coordinator import split_intervals
+
+        shards, pieces, owners = split_intervals(np.zeros((0, 2), dtype=np.uint64), 8)
+        assert shards.size == pieces.shape[0] == owners.size == 0
+
+
 class TestShardServerDedup:
     """The worker's WAL-backed exactly-once command cursor."""
 

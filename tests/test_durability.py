@@ -19,6 +19,8 @@ from repro.stream import (
     WriteAheadLog,
 )
 from repro.stream.durability import (
+    decode_wal_payload,
+    encode_envelope,
     encode_record,
     list_snapshots,
     load_latest_snapshot,
@@ -397,7 +399,7 @@ class TestMergeReplay:
     """Merge ops in the WAL: fingerprints recorded, re-verified on replay."""
 
     @staticmethod
-    def _read_records(path):
+    def _read_raw(path):
         import struct
 
         header = struct.Struct("<IIQ")
@@ -408,19 +410,28 @@ class TestMergeReplay:
         while offset < len(data):
             length, _crc, seq = header.unpack_from(data, offset)
             offset += header.size
-            payload = data[offset:offset + length]
+            records.append((seq, data[offset:offset + length]))
             offset += length
-            records.append((seq, json.loads(payload.decode("utf-8"))))
         return records
 
+    @classmethod
+    def _read_records(cls, path):
+        return [
+            (seq, decode_wal_payload(payload))
+            for seq, payload in cls._read_raw(path)
+        ]
+
     @staticmethod
-    def _write_records(path, records):
+    def _write_records(path, records, wire="envelope"):
+        """Rewrite a segment as typed envelopes, or as v1 JSON records."""
         from repro.stream.durability import canonical_json
 
-        blob = b"".join(
-            encode_record(seq, canonical_json(op).encode("utf-8"))
-            for seq, op in records
-        )
+        def encode(op):
+            if wire == "envelope":
+                return encode_envelope(op)
+            return canonical_json(op).encode("utf-8")
+
+        blob = b"".join(encode_record(seq, encode(op)) for seq, op in records)
         with open(path, "wb") as handle:
             handle.write(blob)
 
@@ -458,6 +469,16 @@ class TestMergeReplay:
             processor.merge_sketch("r", third)
             processor.process_points("r", [9, 9, 9])
             reference = processor.sketch_of("r").values().copy()
+        recovered = StreamProcessor.recover(directory)
+        assert np.array_equal(recovered.sketch_of("r").values(), reference)
+
+    def test_segment_rewritten_as_v1_json_replays_identically(self, tmp_path):
+        directory = str(tmp_path / "state")
+        with self._build_interleaved(directory) as processor:
+            reference = processor.sketch_of("r").values().copy()
+        [segment] = wal_segments(directory)
+        self._write_records(segment, self._read_records(segment), "v1-json")
+        assert all(p[:1] == b"{" for _seq, p in self._read_raw(segment))
         recovered = StreamProcessor.recover(directory)
         assert np.array_equal(recovered.sketch_of("r").values(), reference)
 
@@ -529,9 +550,173 @@ class TestMergeReplay:
         poisoned = 0
         for _seq, op in records:
             if op["op"] == "merge" and not poisoned:
+                op["values"] = np.array(op["values"])  # decoded read-only
                 op["values"][0][0] = float("inf")
                 poisoned += 1
         assert poisoned
         self._write_records(segment, records)
         with pytest.raises(InvalidUpdateError, match="non-finite"):
+            StreamProcessor.recover(directory)
+
+
+_V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "v1_durable")
+
+
+class TestV1Upgrade:
+    """A directory written before typed envelopes recovers bit for bit."""
+
+    @pytest.fixture
+    def v1_state(self, tmp_path):
+        import shutil
+
+        directory = str(tmp_path / "state")
+        shutil.copytree(os.path.join(_V1_FIXTURE, "state"), directory)
+        with open(os.path.join(_V1_FIXTURE, "expected.json")) as handle:
+            return directory, json.load(handle)
+
+    @staticmethod
+    def _assert_counters(processor, expected):
+        for name, values in expected["sketches"].items():
+            assert np.array_equal(
+                processor.sketch_of(name).values(), np.array(values)
+            ), name
+        assert np.array_equal(
+            processor.hierarchy_of("r").table, np.array(expected["hierarchy_r"])
+        )
+        assert processor._applied_seq == expected["applied_seq"]
+
+    def test_fixture_is_v1(self, v1_state):
+        directory, _ = v1_state
+        [segment] = wal_segments(directory)
+        payloads = [payload for _seq, payload in TestMergeReplay._read_raw(segment)]
+        assert len(payloads) == 15
+        assert all(payload[:1] == b"{" for payload in payloads)
+        _seq, state, _ = load_latest_snapshot(directory)
+        assert {data["version"] for data in state["sketches"].values()} == {1}
+
+    def test_v1_snapshot_and_json_wal_recover_bit_identically(self, v1_state):
+        directory, expected = v1_state
+        recovered = StreamProcessor.recover(directory)
+        self._assert_counters(recovered, expected)
+        # New writes append envelopes after the v1 records; both replay.
+        recovered.process_points("r", [3, 3, 70000])
+        recovered.process_intervals("s", [[0, 1 << 39]], [2.0])
+        reference = {name: recovered.sketch_of(name).values() for name in ("r", "s")}
+        recovered.close()
+        again = StreamProcessor.recover(directory)
+        for name, values in reference.items():
+            assert np.array_equal(again.sketch_of(name).values(), values)
+
+    def test_v1_json_wal_alone_replays_bit_identically(self, v1_state):
+        directory, expected = v1_state
+        for path in list_snapshots(directory):
+            os.remove(path)
+        self._assert_counters(StreamProcessor.recover(directory), expected)
+
+    def test_checkpoint_rewrites_sketches_as_v2(self, v1_state):
+        from repro.sketch.serialize import SERIALIZE_VERSION
+
+        directory, expected = v1_state
+        with StreamProcessor.recover(directory) as processor:
+            processor.checkpoint()
+        _seq, state, _ = load_latest_snapshot(directory)
+        versions = {data["version"] for data in state["sketches"].values()}
+        assert versions == {SERIALIZE_VERSION} == {2}
+        self._assert_counters(StreamProcessor.recover(directory), expected)
+
+
+class TestBatchRecords:
+    """Batch WAL records carry typed arrays; single records keep scalars."""
+
+    @staticmethod
+    def _ops(directory):
+        return [
+            decode_wal_payload(payload)
+            for segment in wal_segments(directory)
+            for _seq, payload in TestMergeReplay._read_raw(segment)
+        ]
+
+    @pytest.mark.parametrize("bits, dtype", [(20, "<u4"), (32, "<u4"), (33, "<u8"), (62, "<u8")])
+    def test_item_dtype_follows_the_domain(self, tmp_path, bits, dtype):
+        directory = str(tmp_path / "state")
+        with StreamProcessor(medians=2, averages=4, seed=3, durability=directory) as p:
+            p.register_relation("r", bits)
+            p.process_points("r", [0, (1 << bits) - 1, 5])
+            p.process_intervals("r", [[0, (1 << bits) - 1], [4, 9]], [0.5, 2.0])
+            p.process_point("r", 7, 3.0)
+            p.process_interval("r", 1, 2, -1.0)
+        _register, points, intervals, point, interval = self._ops(directory)
+        assert points["items"].dtype.str == dtype
+        assert points["items"].tolist() == [0, (1 << bits) - 1, 5]
+        assert points["weights"] is None
+        assert intervals["intervals"].dtype.str == dtype
+        assert intervals["intervals"].shape == (2, 2)
+        assert intervals["weights"].dtype.str == "<f8"
+        assert intervals["weights"].tolist() == [0.5, 2.0]
+        assert point == {"op": "point", "relation": "r", "item": 7, "weight": 3.0}
+        assert interval == {
+            "op": "interval", "relation": "r", "low": 1, "high": 2, "weight": -1.0
+        }
+
+    def test_a_4096_point_record_is_raw_bytes(self, tmp_path):
+        directory = str(tmp_path / "state")
+        with StreamProcessor(medians=2, averages=4, seed=3, durability=directory) as p:
+            p.register_relation("r", 20)
+            before = os.path.getsize(wal_segments(directory)[-1])
+            p.process_points("r", np.arange(4096), np.ones(4096))
+            grown = os.path.getsize(wal_segments(directory)[-1]) - before
+        assert grown <= 12 * 4096 + 256  # 4-byte items, 8-byte weights
+
+
+class TestUndecodableRecords:
+    """A record that passes its CRC but does not decode is a RecoveryError."""
+
+    @staticmethod
+    def _append_raw(directory, payload):
+        segment = wal_segments(directory)[-1]
+        seq = len(TestMergeReplay._read_raw(segment)) + 1
+        with open(segment, "ab") as handle:
+            handle.write(encode_record(seq, payload))
+        return seq
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (b'{"op": "points", "relation"', "passed its CRC but does not decode"),
+            (b'{"relation": "r", "item": 3}', "holds no operation"),
+            (b"[1, 2]", "passed its CRC but does not decode"),
+            (b"\x82\x05\x00\x00\x00{\"op\"", "passed its CRC but does not decode"),
+            (b"\x82\x02\x00\x00\x00[]", "holds no operation"),
+        ],
+        ids=["v1-torn-json", "v1-no-op", "neither", "v2-bad-header", "v2-no-op"],
+    )
+    def test_recovery_names_the_record(self, tmp_path, payload, message):
+        directory = str(tmp_path / "state")
+        with StreamProcessor(medians=2, averages=4, seed=3, durability=directory) as p:
+            p.register_relation("r", 10)
+            p.process_points("r", [1, 2, 3])
+        seq = self._append_raw(directory, payload)
+        with pytest.raises(RecoveryError, match=f"record {seq} {message}"):
+            StreamProcessor.recover(directory)
+
+    def test_envelope_without_op_key(self, tmp_path):
+        directory = str(tmp_path / "state")
+        with StreamProcessor(medians=2, averages=4, seed=3, durability=directory) as p:
+            p.register_relation("r", 10)
+        seq = self._append_raw(
+            directory, encode_envelope({"relation": "r", "items": np.arange(3)})
+        )
+        with pytest.raises(RecoveryError, match=f"record {seq} holds no operation"):
+            StreamProcessor.recover(directory)
+
+    def test_envelope_arrays_overrunning_the_record(self, tmp_path):
+        directory = str(tmp_path / "state")
+        with StreamProcessor(medians=2, averages=4, seed=3, durability=directory) as p:
+            p.register_relation("r", 10)
+        good = encode_envelope(
+            {"op": "points", "relation": "r", "items": np.arange(4, dtype="<u4"),
+             "weights": None}
+        )
+        seq = self._append_raw(directory, good[:-4])  # one item short
+        with pytest.raises(RecoveryError, match=f"record {seq} passed its CRC"):
             StreamProcessor.recover(directory)

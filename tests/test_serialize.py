@@ -34,6 +34,16 @@ from repro.sketch.serialize import (
     sketch_to_dict,
     values_checksum,
 )
+from repro.stream.durability import (
+    canonical_json,
+    decode_envelope,
+    encode_envelope,
+)
+
+
+def _ship(data):
+    """One trip through the typed envelope, as a cluster frame carries it."""
+    return decode_envelope(encode_envelope(data))
 
 
 def _scheme_bits(name: str) -> int:
@@ -118,11 +128,11 @@ class TestSchemeAndSketch:
         site_sketch = site_scheme.sketch()
         for point in (5, 5, 200):
             site_sketch.update_point(point)
-        wire_sketch = json.dumps(sketch_to_dict(site_sketch))
+        wire_sketch = encode_envelope(sketch_to_dict(site_sketch))
 
         # Coordinator rebuilds the sketch AGAINST ITS OWN scheme object
         # and compares with a locally built one.
-        received = sketch_from_dict(json.loads(wire_sketch), scheme=scheme)
+        received = sketch_from_dict(decode_envelope(wire_sketch), scheme=scheme)
         local = scheme.sketch()
         for point in (5, 5, 200):
             local.update_point(point)
@@ -198,14 +208,16 @@ class TestAllChannelKindsRoundTrip:
         scheme = SketchScheme.from_factory(factory, 2, 6, source)
         sketch = scheme.sketch()
         _exercise(name, sketch)
-        wire = json.loads(json.dumps(sketch_to_dict(sketch)))
-        rebuilt = sketch_from_dict(wire)  # scheme reconstructed from wire
-        assert np.array_equal(rebuilt.values(), sketch.values())
-        # The self-join answer (the paper's F2 estimate) is bit-identical.
-        assert (
-            query.product(rebuilt, rebuilt).value
-            == query.product(sketch, sketch).value
-        )
+        data = sketch_to_dict(sketch)
+        # The binary frame and the JSON snapshot text both round-trip.
+        for wire in (_ship(data), json.loads(canonical_json(data))):
+            rebuilt = sketch_from_dict(wire)  # scheme reconstructed from wire
+            assert np.array_equal(rebuilt.values(), sketch.values())
+            # The self-join answer (the paper's F2 estimate) is bit-identical.
+            assert (
+                query.product(rebuilt, rebuilt).value
+                == query.product(sketch, sketch).value
+            )
 
     @pytest.mark.parametrize(
         "name, factory", ALL_CHANNEL_FACTORIES, ids=[n for n, _ in
@@ -283,6 +295,34 @@ class TestWireIntegrity:
         rebuilt = sketch_from_dict(data)
         assert np.array_equal(rebuilt.values(), sketch.values())
 
+    def test_checksum_is_the_crc_of_the_f8_bytes(self, source):
+        import zlib
+
+        _, sketch = self._sketch(source)
+        data = sketch_to_dict(sketch)
+        assert data["values"].dtype == np.float64
+        assert data["checksum"] == zlib.crc32(sketch.values().astype("<f8").tobytes())
+        # A JSON snapshot's lists verify against the same number.
+        text = json.loads(canonical_json(data))
+        assert text["checksum"] == data["checksum"]
+        assert np.array_equal(sketch_from_dict(text).values(), sketch.values())
+
+    def test_v1_sketch_verifies_against_its_json_text(self, source):
+        import zlib
+
+        _, sketch = self._sketch(source)
+        data = sketch_to_dict(sketch)
+        values = data["values"].tolist()
+        v1 = {**data, "version": 1, "values": values}
+        v1["checksum"] = zlib.crc32(json.dumps(values, separators=(",", ":")).encode())
+        assert v1["checksum"] != data["checksum"]
+        assert np.array_equal(sketch_from_dict(v1).values(), sketch.values())
+        # Each version checks its own checksum, and only its own.
+        with pytest.raises(ValueError, match="checksum"):
+            sketch_from_dict({**v1, "checksum": data["checksum"]})
+        with pytest.raises(ValueError, match="checksum"):
+            sketch_from_dict({**data, "checksum": v1["checksum"]})
+
     def test_missing_scheme_needs_argument(self, source):
         _, sketch = self._sketch(source)
         data = sketch_to_dict(sketch, include_scheme=False)
@@ -314,7 +354,7 @@ class TestSerializeProperty:
         sketch = scheme.sketch()
         for item, weight in updates:
             sketch.update_point(item, weight)
-        wire = json.loads(json.dumps(sketch_to_dict(sketch)))
+        wire = _ship(sketch_to_dict(sketch))
         rebuilt = sketch_from_dict(wire)
         assert np.array_equal(rebuilt.values(), sketch.values())
         probe = scheme.sketch()
@@ -323,7 +363,7 @@ class TestSerializeProperty:
         # because the seed material is identical, so the receiver can
         # combine sketches deserialized from different messages.
         rebuilt_probe = sketch_from_dict(
-            json.loads(json.dumps(sketch_to_dict(probe))),
+            json.loads(canonical_json(sketch_to_dict(probe))),
             scheme=rebuilt.scheme,
         )
         assert (
